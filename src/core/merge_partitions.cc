@@ -238,8 +238,12 @@ void MergePartitions(Comm& comm, CubeResult& cube,
       SamplingArray sample(
           static_cast<int>(plan.cols.size()),
           static_cast<std::size_t>(std::max(2, opts.sample_capacity_factor * p)));
+      std::vector<Key> row_key(plan.cols.size());
       for (std::size_t r = 0; r < vr.rel.size(); ++r) {
-        sample.Add(TupleAt(vr.rel, r, plan.cols));
+        for (std::size_t i = 0; i < plan.cols.size(); ++i) {
+          row_key[i] = vr.rel.key(r, plan.cols[i]);
+        }
+        sample.Add(row_key);
       }
       std::vector<std::uint64_t> contrib(p, 0);
       for (int r = 0; r < p; ++r) {

@@ -1,7 +1,6 @@
 #include "exec/parallel_algo.h"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "relation/merge.h"
@@ -20,8 +19,8 @@ bool UseSerial(TaskPool* pool, std::size_t rows) {
          TaskPool::OnWorkerThread();
 }
 
-// Comparator over permutation entries: lexicographic in `cols`, no
-// tie-break (stability comes from stable_sort / left-first merges).
+// Comparator over permutation entries for the merge rounds: lexicographic
+// in `cols`, no tie-break (stability comes from left-first merges).
 struct PermLess {
   const Key* keys;
   std::size_t width;
@@ -183,11 +182,11 @@ std::vector<std::uint32_t> ParallelSortedPermutation(const Relation& rel,
 
   const std::size_t contexts = static_cast<std::size_t>(pool->threads());
   std::vector<std::uint32_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0u);
   const PermLess less{rel.raw_keys(), static_cast<std::size_t>(rel.width()),
                       cols};
 
-  // Chunked stable sorts: boundaries depend only on (n, threads).
+  // Chunk sorts with the serial kernel: boundaries depend only on
+  // (n, threads), and chunk c sorts exactly rows [b, e).
   std::vector<std::size_t> runs;
   runs.reserve(contexts + 1);
   for (std::size_t c = 0; c <= contexts; ++c) runs.push_back(n * c / contexts);
@@ -197,9 +196,8 @@ std::vector<std::uint32_t> ParallelSortedPermutation(const Relation& rel,
       const std::size_t b = runs[c];
       const std::size_t e = runs[c + 1];
       if (b == e) continue;
-      group.Run([&perm, b, e, less] {
-        std::stable_sort(perm.begin() + static_cast<std::ptrdiff_t>(b),
-                         perm.begin() + static_cast<std::ptrdiff_t>(e), less);
+      group.Run([&rel, cols, &perm, b, e] {
+        RadixSortRows(rel, cols, b, e, {perm.data() + b, e - b});
       });
     }
     group.Wait();
@@ -249,31 +247,24 @@ Relation ParallelSortRelation(const Relation& rel, std::span<const int> cols,
   const std::vector<std::uint32_t> perm =
       ParallelSortedPermutation(rel, cols, pool);
 
-  // Parallel gather: each context gathers one contiguous slice of the
-  // permutation into its own relation; concatenating in slice order (pure
-  // appends) yields exactly ApplyPermutation(rel, perm).
+  // Parallel gather: the output is sized once and each context fills the
+  // rows of one contiguous slice of the permutation, which yields exactly
+  // ApplyPermutation(rel, perm).
   const std::size_t contexts = static_cast<std::size_t>(pool->threads());
   const std::size_t n = perm.size();
-  std::vector<Relation> pieces;
-  pieces.reserve(contexts);
-  for (std::size_t c = 0; c < contexts; ++c) pieces.emplace_back(rel.width());
-  {
-    TaskGroup group(pool);
-    for (std::size_t c = 0; c < contexts; ++c) {
-      const std::size_t b = n * c / contexts;
-      const std::size_t e = n * (c + 1) / contexts;
-      if (b == e) continue;
-      group.Run([&rel, &perm, &pieces, c, b, e] {
-        Relation& out = pieces[c];
-        out.Reserve(e - b);
-        for (std::size_t i = b; i < e; ++i) out.AppendRow(rel, perm[i]);
-      });
-    }
-    group.Wait();
-  }
   Relation out(rel.width());
-  out.Reserve(n);
-  for (auto& piece : pieces) out.Concat(std::move(piece));
+  out.Resize(n);
+  TaskGroup group(pool);
+  for (std::size_t c = 0; c < contexts; ++c) {
+    const std::size_t b = n * c / contexts;
+    const std::size_t e = n * (c + 1) / contexts;
+    if (b == e) continue;
+    group.Run([&rel, &perm, &out, b, e] {
+      const std::span<const std::uint32_t> slice(perm.data() + b, e - b);
+      out.GatherRows(rel, slice, b);
+    });
+  }
+  group.Wait();
   return out;
 }
 

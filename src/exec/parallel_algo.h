@@ -1,14 +1,15 @@
 // Deterministic divide-and-conquer sort/merge over Relations, built on
 // exec::TaskPool.
 //
-// ParallelSortedPermutation is a chunked stable merge sort: the permutation
-// is split into `threads` contiguous chunks (boundaries a pure function of
-// n and the thread count), each chunk is stable_sorted in parallel, then
-// adjacent runs are merged pairwise; each pair merge is itself split into
-// key-aligned segments merged concurrently into disjoint output ranges.
-// Every merge takes the left run first on equal keys and chunks hold
-// ascending original indices, so the result equals std::stable_sort — i.e.
-// relation/sort.h's SortedPermutation — exactly, for every thread count.
+// ParallelSortedPermutation is a chunked sort-then-merge: the rows are
+// split into `threads` contiguous chunks (boundaries a pure function of n
+// and the thread count), each chunk is sorted in parallel by the stable
+// radix kernel RadixSortRows (relation/sort.h), then adjacent runs are
+// merged pairwise; each pair merge is itself split into key-aligned
+// segments merged concurrently into disjoint output ranges. Every merge
+// takes the left run first on equal keys and chunks hold ascending row
+// indices, so the result equals std::stable_sort — i.e. relation/sort.h's
+// SortedPermutation — exactly, for every thread count.
 //
 // ParallelMergeSortedRuns merges k sorted runs as a balanced tournament of
 // pairwise merges over the run list in order; ties go to the lower run
@@ -20,12 +21,12 @@
 // directly, so the serial path — control flow, allocation pattern, result —
 // is untouched when threads_per_rank == 1.
 //
-// Cost model: both algorithms do the same O(n log n) comparison work as
-// their serial counterparts (chunk sorts sum to n·log2(n/W); the log2(W)
-// merge rounds add n each), so callers keep charging the serial work
-// formula and divide by the thread count for the span — see
-// Comm::ChargeParallelCpu. GreedyMakespan is the span model for ragged
-// chunk regions (external-sort run formation), where work/threads
+// Cost model: the simulated clock counts records, not cycles. Both
+// algorithms move the records their serial counterparts do, plus log2(W)
+// merge rounds of n each, so callers keep charging the serial work formula
+// (n·log2 n records for a sort) and divide by the thread count for the
+// span — see Comm::ChargeParallelCpu. GreedyMakespan is the span model for
+// ragged chunk regions (external-sort run formation), where work/threads
 // underestimates the critical path.
 #pragma once
 

@@ -83,9 +83,9 @@ void Cluster::Run(const std::function<void(Comm&)>& program) {
           // Publish the root cause (first failure wins) BEFORE withdrawing,
           // so any rank the withdrawal releases sees it; then withdraw from
           // all future barriers so surviving ranks don't deadlock. They
-          // observe the abort flag after their next barrier crossing and
-          // unwind with a typed ClusterAbortedError.
-          shared_->MarkFailure(r, comms[r]->supersteps_);
+          // observe the abort flag after crossing the first barrier phase
+          // this rank missed and unwind with a typed ClusterAbortedError.
+          shared_->MarkFailure(r, comms[r]->supersteps_, comms[r]->crossings_);
           shared_->barrier.arrive_and_drop();
         }
       });

@@ -123,7 +123,7 @@ PhaseStats& Comm::SyncPrologue() {
 
 void Comm::ArriveAndCheck() {
   cluster_.shared_->barrier.arrive_and_wait();
-  cluster_.shared_->ThrowIfAborted();
+  cluster_.shared_->ThrowIfAborted(++crossings_);
 }
 
 void Comm::AdvanceClock(PhaseStats& ps, std::uint64_t bytes_out,

@@ -158,6 +158,7 @@ class Comm : public obs::SimClockSource {
   int threads_per_rank_ = 1;              // intra-rank exec pool width
   double slowdown_ = 1.0;                 // straggler multiplier (>= 1)
   std::uint64_t supersteps_ = 0;          // collectives entered this Run
+  std::uint64_t crossings_ = 0;           // barrier phases crossed this Run
   std::uint64_t charged_blocks_ = 0;  // blocks already folded into the clock
   double local_time_ = 0;
   std::string phase_ = "default";

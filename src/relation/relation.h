@@ -7,6 +7,7 @@
 // the ROLAP views the cube materializes are exactly tables of this shape.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -42,6 +43,28 @@ class Relation {
   void AppendRow(const Relation& src, std::size_t row) {
     SNCUBE_DCHECK(src.width() == width_);
     Append(src.RowKeys(row), src.measure(row));
+  }
+
+  // Sets the row count; new rows are zero. Bulk writers size a relation
+  // once and then fill it with GatherRows.
+  void Resize(std::size_t rows) {
+    keys_.resize(rows * static_cast<std::size_t>(width_));
+    measures_.resize(rows);
+  }
+
+  // Overwrites rows [first, first + rows.size()) with rows `rows` of `src`
+  // (same width). Calls on disjoint ranges may run concurrently.
+  void GatherRows(const Relation& src, std::span<const std::uint32_t> rows,
+                  std::size_t first) {
+    SNCUBE_DCHECK(src.width() == width_ && first + rows.size() <= size());
+    const auto w = static_cast<std::size_t>(width_);
+    Key* dst = keys_.data() + first * w;
+    Measure* dst_m = measures_.data() + first;
+    for (const std::uint32_t row : rows) {
+      std::copy_n(src.keys_.data() + row * w, w, dst);
+      dst += w;
+      *dst_m++ = src.measures_[row];
+    }
   }
 
   std::span<const Key> RowKeys(std::size_t row) const {

@@ -33,4 +33,11 @@ class Schema {
   std::vector<std::string> names_;
 };
 
+// Where each dimension of `schema` sits in data whose column j is dimension
+// "D<j>" (a CSV read for a schema built with the default names): element k
+// is the column holding dimension k, so PermuteColumns (relation/sort.h)
+// with it yields schema order. Throws SncubeError unless the names are
+// exactly D0..D<dims-1> in some order.
+std::vector<int> ColumnsByDefaultName(const Schema& schema);
+
 }  // namespace sncube

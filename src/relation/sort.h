@@ -5,9 +5,13 @@
 // composition. Sort orders are given as column-position lists so a view can
 // be sorted in any attribute permutation (Pipesort pipelines depend on
 // re-sorting a view in the order its parent dictates).
+//
+// Every in-memory relation sort runs the one kernel RadixSortRows, a stable
+// LSD radix sort over packed row keys (exec::ParallelSortedPermutation runs
+// it per chunk). Stability makes its permutation exactly the one
+// std::stable_sort produces under the lexicographic `cols` order.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <span>
@@ -17,23 +21,26 @@
 
 namespace sncube {
 
+// Writes rows [begin, end) of `rel` into `out` (end - begin entries) in
+// ascending lexicographic order of columns `cols`; rows with equal keys keep
+// ascending row order.
+//
+// Each sort column gets the bit width of the OR of its values over the
+// range, and the columns are packed first-most-significant into one uint64
+// with the row's offset in the low bits. A key too wide to share a word
+// with the offset is split at column boundaries into several words, sorted
+// least significant word first. Row order is carried as uint32 row ids, so
+// `rel` may hold at most 2^32 rows (checked). See DESIGN.md §11.
+void RadixSortRows(const Relation& rel, std::span<const int> cols,
+                   std::size_t begin, std::size_t end,
+                   std::span<std::uint32_t> out);
+
 // Row indices of `rel` in ascending lexicographic order of columns `cols`.
 // The sort is stable so equal keys keep their input order (determinism).
 inline std::vector<std::uint32_t> SortedPermutation(
     const Relation& rel, std::span<const int> cols) {
   std::vector<std::uint32_t> perm(rel.size());
-  std::iota(perm.begin(), perm.end(), 0u);
-  const Key* keys = rel.raw_keys();
-  const auto w = static_cast<std::size_t>(rel.width());
-  std::stable_sort(perm.begin(), perm.end(),
-                   [keys, w, cols](std::uint32_t a, std::uint32_t b) {
-                     const Key* ra = keys + a * w;
-                     const Key* rb = keys + b * w;
-                     for (int c : cols) {
-                       if (ra[c] != rb[c]) return ra[c] < rb[c];
-                     }
-                     return false;
-                   });
+  RadixSortRows(rel, cols, 0, rel.size(), perm);
   return perm;
 }
 
@@ -41,8 +48,8 @@ inline std::vector<std::uint32_t> SortedPermutation(
 inline Relation ApplyPermutation(const Relation& rel,
                                  std::span<const std::uint32_t> perm) {
   Relation out(rel.width());
-  out.Reserve(perm.size());
-  for (std::uint32_t row : perm) out.AppendRow(rel, row);
+  out.Resize(perm.size());
+  out.GatherRows(rel, perm, 0);
   return out;
 }
 

@@ -23,6 +23,7 @@
 #include "relation/merge.h"
 #include "relation/serialize.h"
 #include "relation/sort.h"
+#include "sort_reference.h"
 
 namespace sncube {
 namespace {
@@ -185,6 +186,31 @@ TEST(ParallelAlgo, PermutationMatchesSerial) {
     exec::TaskPool pool(threads);
     EXPECT_EQ(exec::ParallelSortedPermutation(rel, cols, &pool), expected)
         << "threads=" << threads;
+  }
+}
+
+// The pooled sort against the test's own comparator reference (not the
+// serial kernel, which runs inside every chunk): full permutations and
+// gathered bytes, over key shapes below, at and above one 64-bit word.
+TEST(SortKernel, PooledMatchesStableSortReference) {
+  Rng rng(31);
+  const std::vector<std::vector<int>> shapes = {
+      {8, 7, 6, 5, 4, 3, 3, 2}, {0, 20, 1}, {32, 32, 32, 17}};
+  for (const auto& bits : shapes) {
+    for (const std::size_t rows : {0u, 1u, 2u, 4095u, 4096u, 4097u, 100003u}) {
+      const Relation rel = testing::RandomBitsRelation(rows, bits, 40, rng);
+      const auto cols = testing::RandomColumnOrder(rel.width(), rng);
+      const auto expected = testing::ReferencePermutation(rel, cols);
+      Relation gathered(rel.width());
+      for (const std::uint32_t row : expected) gathered.AppendRow(rel, row);
+      for (int threads : {1, 2, 3, 4, 8}) {
+        exec::TaskPool pool(threads);
+        ASSERT_EQ(exec::ParallelSortedPermutation(rel, cols, &pool), expected)
+            << "rows=" << rows << " threads=" << threads;
+        ASSERT_EQ(exec::ParallelSortRelation(rel, cols, &pool), gathered)
+            << "rows=" << rows << " threads=" << threads;
+      }
+    }
   }
 }
 

@@ -84,24 +84,30 @@ TEST_P(ParallelCubeProperty, MatchesBruteForce) {
   }
 }
 
+// gtest prints a struct parameter as a dump of its raw bytes, padding
+// included, and the dump becomes part of each ctest name. The cases live in
+// static tables, whose padding is zero, so the names are the same on every
+// run; temporaries built in the INSTANTIATE call would carry stack garbage.
+constexpr CubeCase kCubeCases[] = {
+    {1, 0.03, 0.0, TreeMode::kGlobal},
+    {2, 0.03, 0.0, TreeMode::kGlobal},
+    {3, 0.03, 0.0, TreeMode::kGlobal},
+    {4, 0.03, 0.0, TreeMode::kGlobal},
+    {6, 0.03, 0.0, TreeMode::kGlobal},
+    {8, 0.03, 0.0, TreeMode::kGlobal},
+    {4, 0.0, 0.0, TreeMode::kGlobal},   // everything Case 3
+    {4, 10.0, 0.0, TreeMode::kGlobal},  // Case 3 never fires
+    {4, 0.03, 1.0, TreeMode::kGlobal},
+    {4, 0.03, 2.0, TreeMode::kGlobal},
+    {4, 0.03, 3.0, TreeMode::kGlobal},
+    {5, 0.01, 1.5, TreeMode::kGlobal},
+    {2, 0.03, 1.0, TreeMode::kLocal},
+    {4, 0.03, 2.0, TreeMode::kLocal},
+    {6, 0.05, 0.5, TreeMode::kLocal},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Grid, ParallelCubeProperty,
-    ::testing::Values(
-        CubeCase{1, 0.03, 0.0, TreeMode::kGlobal},
-        CubeCase{2, 0.03, 0.0, TreeMode::kGlobal},
-        CubeCase{3, 0.03, 0.0, TreeMode::kGlobal},
-        CubeCase{4, 0.03, 0.0, TreeMode::kGlobal},
-        CubeCase{6, 0.03, 0.0, TreeMode::kGlobal},
-        CubeCase{8, 0.03, 0.0, TreeMode::kGlobal},
-        CubeCase{4, 0.0, 0.0, TreeMode::kGlobal},   // everything Case 3
-        CubeCase{4, 10.0, 0.0, TreeMode::kGlobal},  // Case 3 never fires
-        CubeCase{4, 0.03, 1.0, TreeMode::kGlobal},
-        CubeCase{4, 0.03, 2.0, TreeMode::kGlobal},
-        CubeCase{4, 0.03, 3.0, TreeMode::kGlobal},
-        CubeCase{5, 0.01, 1.5, TreeMode::kGlobal},
-        CubeCase{2, 0.03, 1.0, TreeMode::kLocal},
-        CubeCase{4, 0.03, 2.0, TreeMode::kLocal},
-        CubeCase{6, 0.05, 0.5, TreeMode::kLocal}),
+    Grid, ParallelCubeProperty, ::testing::ValuesIn(kCubeCases),
     [](const ::testing::TestParamInfo<CubeCase>& info) {
       const CubeCase& c = info.param;
       return "p" + std::to_string(c.p) + "_g" +
@@ -166,17 +172,15 @@ TEST_P(BackendIdentityProperty, BytesMatchSortSerialBaseline) {
   }
 }
 
+// A static table for stable ctest names, as kCubeCases above.
+constexpr BackendCase kBackendCases[] = {
+    {BackendMode::kSort, 1}, {BackendMode::kSort, 2}, {BackendMode::kSort, 4},
+    {BackendMode::kHash, 1}, {BackendMode::kHash, 2}, {BackendMode::kHash, 4},
+    {BackendMode::kAuto, 1}, {BackendMode::kAuto, 2}, {BackendMode::kAuto, 4},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Grid, BackendIdentityProperty,
-    ::testing::Values(BackendCase{BackendMode::kSort, 1},
-                      BackendCase{BackendMode::kSort, 2},
-                      BackendCase{BackendMode::kSort, 4},
-                      BackendCase{BackendMode::kHash, 1},
-                      BackendCase{BackendMode::kHash, 2},
-                      BackendCase{BackendMode::kHash, 4},
-                      BackendCase{BackendMode::kAuto, 1},
-                      BackendCase{BackendMode::kAuto, 2},
-                      BackendCase{BackendMode::kAuto, 4}),
+    Grid, BackendIdentityProperty, ::testing::ValuesIn(kBackendCases),
     [](const ::testing::TestParamInfo<BackendCase>& info) {
       return std::string(BackendModeName(info.param.backend)) + "_t" +
              std::to_string(info.param.threads);

@@ -19,6 +19,7 @@
 // prints its StatsSnapshot as JSON.
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -26,6 +27,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -53,6 +55,8 @@
 #include "refresh/refresh.h"
 #include "refresh/snapshot.h"
 #include "relation/csv.h"
+#include "relation/schema.h"
+#include "relation/sort.h"
 #include "seqcube/seq_cube.h"
 #include "seqcube/view_store.h"
 #include "serve/metrics_bridge.h"
@@ -283,19 +287,32 @@ int CmdBuild(const Args& args) {
   const std::string in = args.Require("in");
   std::ifstream is(in);
   if (!is.good()) Usage(("cannot read " + in).c_str());
-  const Relation raw = ReadCsv(is);
+  Relation raw = ReadCsv(is);
   if (raw.empty()) Usage("input has no rows");
 
-  // Infer cardinalities from the data (max code + 1 per column).
+  // Infer cardinalities from the data (max code + 1 per column). The
+  // largest uint32 code has no such cardinality.
   std::vector<std::uint32_t> cards(static_cast<std::size_t>(raw.width()), 1);
   for (std::size_t r = 0; r < raw.size(); ++r) {
     for (int c = 0; c < raw.width(); ++c) {
+      const Key code = raw.key(r, c);
+      if (code == std::numeric_limits<Key>::max()) {
+        throw SncubeError("input column " + std::to_string(c + 1) +
+                          " holds code " + std::to_string(code) +
+                          "; codes must be below 2^32-1");
+      }
       cards[static_cast<std::size_t>(c)] =
-          std::max(cards[static_cast<std::size_t>(c)], raw.key(r, c) + 1);
+          std::max(cards[static_cast<std::size_t>(c)], code + 1);
     }
   }
+  // Schema orders dimensions by decreasing cardinality and names CSV column
+  // j "D<j>"; bring the facts into that order.
   const Schema schema(cards);
   const int d = schema.dims();
+  const std::vector<int> columns = ColumnsByDefaultName(schema);
+  if (!std::is_sorted(columns.begin(), columns.end())) {
+    raw = PermuteColumns(raw, columns);
+  }
 
   // View selection.
   const AnalyticEstimator est(schema, static_cast<double>(raw.size()));
@@ -546,9 +563,14 @@ int CmdRefresh(const Args& args) {
   const std::string delta_path = args.Require("delta");
   std::ifstream is(delta_path);
   if (!is.good()) Usage(("cannot read " + delta_path).c_str());
-  const Relation delta = ReadCsv(is);
+  Relation delta = ReadCsv(is);
   if (!delta.empty() && delta.width() != schema.dims()) {
     Usage("delta column count does not match the cube's dimensionality");
+  }
+  // The delta's columns are in the facts' CSV order: column j is "D<j>".
+  const std::vector<int> columns = ColumnsByDefaultName(schema);
+  if (!delta.empty() && !std::is_sorted(columns.begin(), columns.end())) {
+    delta = PermuteColumns(delta, columns);
   }
 
   WallTimer timer;
