@@ -11,11 +11,16 @@ namespace sncube {
 
 std::vector<ViewId> AffectedViews(const CubeResult& base,
                                   const Relation& delta) {
-  std::vector<ViewId> affected;
-  if (delta.empty()) return affected;
-  affected.reserve(base.views.size());
-  for (const auto& [id, vr] : base.views) affected.push_back(id);
-  return affected;
+  std::vector<ViewId> views;
+  views.reserve(base.views.size());
+  for (const auto& [id, vr] : base.views) views.push_back(id);
+  return AffectedViews(std::move(views), delta);
+}
+
+std::vector<ViewId> AffectedViews(std::vector<ViewId> views,
+                                  const Relation& delta) {
+  if (delta.empty()) views.clear();
+  return views;
 }
 
 CubeResult ComputeDeltaCube(const Relation& delta, const Schema& schema,
@@ -50,33 +55,65 @@ Relation MergeAggregateByOrder(const Relation& a, const Relation& b,
   return out;
 }
 
+ViewResult MergeDeltaView(const ViewResult& base, const CubeResult& delta_cube,
+                          AggFn fn) {
+  ViewResult out;
+  out.id = base.id;
+  out.order = base.order;
+  out.selected = base.selected;
+  const auto it = delta_cube.views.find(base.id);
+  if (it == delta_cube.views.end() || it->second.rel.empty()) {
+    out.rel = base.rel;  // untouched view: byte-identical pass-through
+    return out;
+  }
+  // The delta build chose its own sort orders (its Pipesort ran on delta
+  // statistics); re-sort its rows into the BASE view's order so the merge is
+  // a single linear pass and the merged view inherits base order — what
+  // keeps refreshed cubes drop-in for slice partitioning and golden
+  // comparisons.
+  const std::vector<int> cols = ColumnsOf(base.id, base.order);
+  Relation delta_rows = it->second.rel;
+  if (it->second.order != base.order) {
+    delta_rows = SortRelation(delta_rows, cols);
+  }
+  out.rel = MergeAggregateByOrder(base.rel, delta_rows, cols, fn);
+  return out;
+}
+
 CubeResult MergeDeltaCube(const CubeResult& base, const CubeResult& delta_cube,
                           AggFn fn) {
   CubeResult merged;
   for (const auto& [id, vr] : base.views) {
-    ViewResult out;
-    out.id = id;
-    out.order = vr.order;
-    out.selected = vr.selected;
-    const auto it = delta_cube.views.find(id);
-    if (it == delta_cube.views.end() || it->second.rel.empty()) {
-      out.rel = vr.rel;  // untouched view: byte-identical pass-through
-    } else {
-      // The delta build chose its own sort orders (its Pipesort ran on delta
-      // statistics); re-sort its rows into the BASE view's order so the
-      // merge is a single linear pass and the merged view inherits base
-      // order — what keeps refreshed cubes drop-in for slice partitioning
-      // and golden comparisons.
-      const std::vector<int> cols = ColumnsOf(id, vr.order);
-      Relation delta_rows = it->second.rel;
-      if (it->second.order != vr.order) {
-        delta_rows = SortRelation(delta_rows, cols);
-      }
-      out.rel = MergeAggregateByOrder(vr.rel, delta_rows, cols, fn);
-    }
-    merged.views.emplace(id, std::move(out));
+    merged.views.emplace(id, MergeDeltaView(vr, delta_cube, fn));
   }
   return merged;
+}
+
+StoreRefreshResult RefreshViewStore(
+    const ViewStore& store, const CubeManifest& manifest,
+    const Relation& delta,
+    const std::function<void(const ViewResult&)>& on_view) {
+  std::vector<ViewId> views;
+  views.reserve(manifest.views.size());
+  for (const ViewEntry& entry : manifest.views) views.push_back(entry.id);
+  StoreRefreshResult result;
+  const std::vector<ViewId> affected = AffectedViews(std::move(views), delta);
+  result.views_refreshed = affected.size();
+  CubeResult delta_cube = ComputeDeltaCube(delta, manifest.schema, affected);
+
+  CubeManifest refreshed{manifest.schema, {}};
+  refreshed.views.reserve(manifest.views.size());
+  store.RemoveManifest();
+  for (const ViewEntry& entry : manifest.views) {
+    const ViewResult merged = MergeDeltaView(store.Load(entry), delta_cube);
+    delta_cube.views.erase(entry.id);
+    store.Save(merged);
+    if (on_view) on_view(merged);
+    refreshed.views.push_back({entry.id, merged.rel.size()});
+    result.merged_rows += merged.rel.size();
+  }
+  store.SaveManifest(refreshed);
+  return result;
 }
 
 }  // namespace sncube

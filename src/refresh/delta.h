@@ -17,6 +17,7 @@
 // scatter merging (MergeSortedAggregate), and golden byte comparisons.
 #pragma once
 
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "schedule/partial.h"
 #include "seqcube/cube_result.h"
 #include "seqcube/pipeline.h"
+#include "seqcube/view_store.h"
 
 namespace sncube {
 
@@ -34,6 +36,9 @@ namespace sncube {
 // none for an empty one. Centralized anyway: finer pruning (e.g. per-view
 // delta-key coverage) slots in here without touching callers.
 std::vector<ViewId> AffectedViews(const CubeResult& base,
+                                  const Relation& delta);
+// The same rule over a list of view ids (a cube directory's index).
+std::vector<ViewId> AffectedViews(std::vector<ViewId> views,
                                   const Relation& delta);
 
 // Cubes the delta over exactly `affected`, reusing the Section 3 partial
@@ -55,14 +60,35 @@ CubeResult ComputeDeltaCube(const Relation& delta, const Schema& schema,
 Relation MergeAggregateByOrder(const Relation& a, const Relation& b,
                                std::span<const int> cols, AggFn fn);
 
-// The refreshed cube: every view of `base` merged with its counterpart in
-// `delta_cube` (views the delta cube lacks pass through unchanged — an empty
-// delta view contributes nothing). Each output view keeps the BASE view's
-// sort order and selected flag; delta rows are re-sorted to it before the
-// merge. `base` is untouched — the result is a fresh CubeResult, immutable
-// once handed to the serving tier like any other (epoch snapshots depend on
-// this).
+// One refreshed view: `base` merged with its counterpart in `delta_cube`
+// (a view the delta cube lacks passes through unchanged — an empty delta
+// view contributes nothing). The output keeps the BASE view's sort order
+// and selected flag; delta rows are re-sorted to it before the merge.
+ViewResult MergeDeltaView(const ViewResult& base, const CubeResult& delta_cube,
+                          AggFn fn = AggFn::kSum);
+
+// The refreshed cube: MergeDeltaView over every view of `base`. `base` is
+// untouched — the result is a fresh CubeResult, immutable once handed to the
+// serving tier like any other (epoch snapshots depend on this).
 CubeResult MergeDeltaCube(const CubeResult& base, const CubeResult& delta_cube,
                           AggFn fn = AggFn::kSum);
+
+struct StoreRefreshResult {
+  std::size_t views_refreshed = 0;  // AffectedViews of the index
+  std::uint64_t merged_rows = 0;    // rows of the refreshed cube
+};
+
+// Refreshes the cube directory of `store`, whose manifest is `manifest`, in
+// place and one view at a time: cubes `delta` once over the index's views,
+// removes the manifest, then per index entry loads the base view, merges
+// it (MergeDeltaView), rewrites its file and hands the merged view to
+// `on_view`, and writes the new manifest last. Peak memory is the delta cube
+// plus one base and one merged view. The files come out byte-identical to
+// SaveCube(MergeDeltaCube(LoadCube(), ComputeDeltaCube(...))). A failure
+// midway leaves no manifest, so the directory is refused until rebuilt.
+StoreRefreshResult RefreshViewStore(
+    const ViewStore& store, const CubeManifest& manifest,
+    const Relation& delta,
+    const std::function<void(const ViewResult&)>& on_view = {});
 
 }  // namespace sncube

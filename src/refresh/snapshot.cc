@@ -132,20 +132,27 @@ void SnapshotStore::AppendRecord(const std::string& text) {
 
 void SnapshotStore::WriteEpoch(std::uint64_t epoch, const CubeResult& cube,
                                const std::function<void()>& mid_write) {
-  std::filesystem::create_directories(EpochDir(epoch));
   std::vector<std::uint32_t> masks;
-  bool first = true;
   // Ordered map walk: file write order is ascending-mask deterministic.
   for (const auto& [id, vr] : cube.views) {
-    const ByteBuffer bytes = SerializeSnapshotView(epoch, vr);
-    // Charge + persist inside the retry: a transient failure happens before
-    // any bytes land, so a retry rewrites the file from scratch.
-    WithRetry("view write",
-              [&] { WriteSealedFile(ViewPath(epoch, id), bytes, disk_); });
+    WriteEpochView(epoch, vr);
     masks.push_back(id.mask());
-    if (first && mid_write) mid_write();
-    first = false;
+    if (masks.size() == 1 && mid_write) mid_write();
   }
+  AppendPrepare(epoch, std::move(masks));
+}
+
+void SnapshotStore::WriteEpochView(std::uint64_t epoch, const ViewResult& vr) {
+  std::filesystem::create_directories(EpochDir(epoch));
+  const ByteBuffer bytes = SerializeSnapshotView(epoch, vr);
+  // Charge + persist inside the retry: a transient failure happens before
+  // any bytes land, so a retry rewrites the file from scratch.
+  WithRetry("view write",
+            [&] { WriteSealedFile(ViewPath(epoch, vr.id), bytes, disk_); });
+}
+
+void SnapshotStore::AppendPrepare(std::uint64_t epoch,
+                                  std::vector<std::uint32_t> masks) {
   std::sort(masks.begin(), masks.end());
   std::ostringstream line;
   line << "prepare " << epoch;

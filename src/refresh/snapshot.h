@@ -79,6 +79,11 @@ class SnapshotStore {
   // kill point).
   void WriteEpoch(std::uint64_t epoch, const CubeResult& cube,
                   const std::function<void()>& mid_write = {});
+  // WriteEpoch's two halves, for a caller that has one view in memory at a
+  // time: WriteEpochView persists one view's sealed frame under epoch_<E>/,
+  // and AppendPrepare appends the `prepare` record naming `masks`.
+  void WriteEpochView(std::uint64_t epoch, const ViewResult& vr);
+  void AppendPrepare(std::uint64_t epoch, std::vector<std::uint32_t> masks);
 
   void AppendCommitShard(std::uint64_t epoch, int shard);
 

@@ -46,7 +46,7 @@ class Relation {
   }
 
   // Sets the row count; new rows are zero. Bulk writers size a relation
-  // once and then fill it with GatherRows.
+  // once and then fill it (GatherRows, DeserializeRows).
   void Resize(std::size_t rows) {
     keys_.resize(rows * static_cast<std::size_t>(width_));
     measures_.resize(rows);
@@ -112,6 +112,8 @@ class Relation {
 
   // Direct access to the flat key storage (hot-path sorting only).
   const Key* raw_keys() const { return keys_.data(); }
+  // Mutable flat key storage, for bulk writers that Resize first.
+  Key* mutable_raw_keys() { return keys_.data(); }
 
   bool operator==(const Relation& other) const {
     return width_ == other.width_ && keys_ == other.keys_ &&

@@ -42,16 +42,24 @@ void DeserializeRows(std::span<const std::byte> bytes, Relation& out) {
         std::to_string(row_bytes) + ")");
   }
   const std::size_t rows = bytes.size() / row_bytes;
-  std::vector<Key> keys(static_cast<std::size_t>(out.width()));
+  if (rows == 0) return;
+  // Size the relation once, then copy each row's keys and measure straight
+  // into place.
+  const std::size_t first = out.size();
+  out.Resize(first + rows);
+  const auto width = static_cast<std::size_t>(out.width());
+  const std::size_t key_bytes = width * sizeof(Key);
+  Key* keys = width == 0 ? nullptr : out.mutable_raw_keys() + first * width;
+  Measure* measures = &out.measure(first);
   const std::byte* src = bytes.data();
-  out.Reserve(out.size() + rows);
   for (std::size_t r = 0; r < rows; ++r) {
-    if (!keys.empty()) std::memcpy(keys.data(), src, keys.size() * sizeof(Key));
-    src += keys.size() * sizeof(Key);
-    Measure m;
-    std::memcpy(&m, src, sizeof(m));
-    src += sizeof(m);
-    out.Append(keys, m);
+    if (width != 0) {
+      std::memcpy(keys, src, key_bytes);
+      keys += width;
+    }
+    src += key_bytes;
+    std::memcpy(measures + r, src, sizeof(Measure));
+    src += sizeof(Measure);
   }
 }
 

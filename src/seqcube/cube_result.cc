@@ -26,6 +26,15 @@ std::uint64_t CubeResult::TotalBytes(bool selected_only) const {
   return bytes;
 }
 
+std::vector<ViewEntry> IndexOf(const CubeResult& cube) {
+  std::vector<ViewEntry> index;
+  index.reserve(cube.views.size());
+  for (const auto& [id, vr] : cube.views) {
+    if (vr.selected) index.push_back({id, vr.rel.size()});
+  }
+  return index;
+}
+
 std::vector<int> ColumnsOf(ViewId view, const std::vector<int>& dims) {
   const auto canonical = view.DimList();
   std::vector<int> cols;

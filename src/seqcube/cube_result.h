@@ -42,6 +42,19 @@ struct CubeResult {
   std::uint64_t TotalBytes(bool selected_only = true) const;
 };
 
+// One entry of a cube's view index: a materialized view and its row count,
+// all that query routing needs to know about it. The cube directory's
+// manifest (seqcube/view_store.h) stores exactly these.
+struct ViewEntry {
+  ViewId id;
+  std::uint64_t rows = 0;
+
+  bool operator==(const ViewEntry&) const = default;
+};
+
+// The index of `cube`'s selected views, in ascending mask order.
+std::vector<ViewEntry> IndexOf(const CubeResult& cube);
+
 // Column positions (within a view's canonical layout) corresponding to a
 // dimension sequence. E.g. view {A,C,D} stored as [A,C,D]; dims (C,A) →
 // columns (1,0).

@@ -51,7 +51,7 @@ TEST(Integration, GenerateBuildPersistQuery) {
   CubeResult reassembled;
   for (int r = 0; r < p; ++r) {
     ViewStore rank_store(dir / ("rank" + std::to_string(r)));
-    const Schema loaded = rank_store.LoadSchema();
+    const Schema loaded = rank_store.LoadManifest().schema;
     EXPECT_EQ(loaded.dims(), schema.dims());
     CubeResult shard = rank_store.LoadCube();
     for (auto& [id, vr] : shard.views) {

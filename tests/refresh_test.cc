@@ -11,7 +11,9 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,12 +23,14 @@
 #include "lattice/lattice.h"
 #include "net/fault.h"
 #include "query/engine.h"
+#include "query/greedy_select.h"
 #include "refresh/delta.h"
 #include "refresh/refresh.h"
 #include "refresh/snapshot.h"
 #include "relation/aggregate.h"
 #include "relation/sort.h"
 #include "seqcube/seq_cube.h"
+#include "seqcube/view_store.h"
 #include "serve/shard_set.h"
 
 namespace sncube {
@@ -167,6 +171,73 @@ TEST(DeltaMerge, EmptyDeltaIsByteIdenticalPassThrough) {
   ExpectCubesIdentical(merged, base, "empty-delta merge");
 }
 
+std::string FileBytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// Same entry names, byte-identical regular files (subdirectories by name).
+void ExpectSameFiles(const std::filesystem::path& got,
+                     const std::filesystem::path& want, const std::string& what) {
+  const auto names = [](const std::filesystem::path& dir) {
+    std::set<std::string> out;
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+      out.insert(e.path().filename().string());
+    }
+    return out;
+  };
+  EXPECT_EQ(names(got), names(want)) << what;
+  for (const auto& name : names(want)) {
+    if (!std::filesystem::is_regular_file(want / name)) continue;
+    EXPECT_EQ(FileBytes(got / name), FileBytes(want / name))
+        << what << ": " << name;
+  }
+}
+
+// The streamed refresh of a cube directory (what `sncube refresh` runs)
+// leaves exactly the bytes of the whole-cube path that RefreshCoordinator
+// takes, on a full cube and on greedy partial cubes, and hands every merged
+// view to its callback in ascending mask order.
+TEST(DeltaMerge, StreamedStoreRefreshMatchesWholeCubePath) {
+  const DatasetSpec spec = BaseSpec();
+  const Schema schema = spec.MakeSchema();
+  const Relation base_rel = GenerateSlice(spec, 1, 0);
+  const Relation delta_rel = GenerateSlice(DeltaSpec(), 1, 0);
+  const AnalyticEstimator est(schema, static_cast<double>(base_rel.size()));
+  const auto dir = FreshDir("streamed");
+  for (const int count : {8, 1, 3, 5}) {
+    const std::vector<ViewId> selected =
+        count == 8 ? AllViews(3) : GreedySelectViews(3, count, est);
+    const CubeResult cube = SequentialCube(base_rel, schema, selected);
+    for (const Relation& delta : {delta_rel, Relation(3)}) {
+      const std::string what = std::to_string(count) + " views, " +
+                               std::to_string(delta.size()) + " delta rows";
+      std::filesystem::remove_all(dir);
+      const ViewStore streamed(dir / "streamed");
+      const ViewStore whole(dir / "whole");
+      streamed.SaveCube(cube, schema);
+      whole.SaveCube(cube, schema);
+
+      std::vector<ViewEntry> seen;
+      const StoreRefreshResult result = RefreshViewStore(
+          streamed, streamed.LoadManifest(), delta,
+          [&](const ViewResult& vr) { seen.push_back({vr.id, vr.rel.size()}); });
+
+      const CubeResult base = whole.LoadCube();
+      const CubeResult merged = MergeDeltaCube(
+          base, ComputeDeltaCube(delta, schema, AffectedViews(base, delta)));
+      whole.SaveCube(merged, schema);
+
+      ExpectSameFiles(dir / "streamed", dir / "whole", what);
+      EXPECT_EQ(seen, IndexOf(merged)) << what;
+      EXPECT_EQ(result.views_refreshed, delta.empty() ? 0u : seen.size())
+          << what;
+      EXPECT_EQ(result.merged_rows, merged.TotalRows()) << what;
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot store
 // ---------------------------------------------------------------------------
@@ -193,6 +264,25 @@ TEST(SnapshotStore, WriteCommitLoadRoundTripsByteIdentical) {
   EXPECT_EQ(rec.epoch, 1u);
   EXPECT_TRUE(rec.quarantined.empty());
   ExpectCubesIdentical(rec.cube, cube, "Recover");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SnapshotStore, PerViewWritesMatchWriteEpoch) {
+  const auto dir = FreshDir("perview");
+  DiskModel disk;
+  SnapshotStore whole((dir / "whole").string(), disk);
+  SnapshotStore streamed((dir / "streamed").string(), disk);
+  const CubeResult cube = SmallCube(17);
+  whole.WriteEpoch(1, cube);
+  std::vector<std::uint32_t> masks;
+  for (const auto& [id, vr] : cube.views) {
+    streamed.WriteEpochView(1, vr);
+    masks.push_back(id.mask());
+  }
+  streamed.AppendPrepare(1, masks);
+  ExpectSameFiles(dir / "streamed", dir / "whole", "store root");
+  ExpectSameFiles(dir / "streamed" / "epoch_1", dir / "whole" / "epoch_1",
+                  "epoch 1");
   std::filesystem::remove_all(dir);
 }
 
