@@ -246,7 +246,9 @@ std::optional<std::string> RefreshChaosTrial::Check(const FaultPlan& plan) {
     if (!crashed && !violation.has_value()) {
       // The installed cube must BE the post-refresh golden, and post-swap
       // traffic must keep answering old-or-new while old pins drain.
-      const std::string diff = DiffCubes(*coordinator.current(), post_cube_);
+      const std::string diff = DiffCubes(
+          AssembleServingCube(*shard_set.Slices(shard_set.serving_epoch())),
+          post_cube_);
       if (!diff.empty()) {
         violation = "completed refresh installed a cube differing from the "
                     "post-refresh golden: " + diff;

@@ -31,7 +31,11 @@ std::size_t ApplyWriteFault(const WriteFault& fault,
 
 void WriteSealedFile(const std::filesystem::path& path,
                      std::span<const std::byte> payload, DiskModel& disk) {
-  std::vector<std::byte> sealed(payload.begin(), payload.end());
+  // Sized for the trailer up front, so sealing appends in place instead of
+  // reallocating (and copying) the payload a second time.
+  std::vector<std::byte> sealed;
+  sealed.reserve(payload.size() + kFrameTrailerBytes);
+  sealed.assign(payload.begin(), payload.end());
   SealFrame(sealed);
   // Charge first: a transient failure means the op never happened.
   disk.ChargeWrite(sealed.size());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "common/status.h"
 #include "obs/trace.h"
@@ -24,6 +25,16 @@ ViewId NeededDims(const Query& query) {
 const ViewEntry& RouteQuery(const Query& query,
                             std::span<const ViewEntry> index) {
   const ViewId needed = NeededDims(query);
+  if (query.from_view.has_value()) {
+    const auto it =
+        std::find_if(index.begin(), index.end(), [&](const ViewEntry& e) {
+          return e.id == *query.from_view;
+        });
+    SNCUBE_CHECK_MSG(it != index.end(), "from_view is not materialized");
+    SNCUBE_CHECK_MSG(needed.IsSubsetOf(*query.from_view),
+                     "from_view does not cover the query");
+    return *it;
+  }
   const ViewEntry* best = nullptr;
   for (const ViewEntry& entry : index) {
     if (!needed.IsSubsetOf(entry.id)) continue;
@@ -41,14 +52,6 @@ CubeQueryEngine::CubeQueryEngine(const CubeResult& cube)
 
 ViewId CubeQueryEngine::Route(const Query& query) const {
   SNCUBE_TRACE_SPAN("query-route");
-  if (query.from_view.has_value()) {
-    const auto it = cube_.views.find(*query.from_view);
-    SNCUBE_CHECK_MSG(it != cube_.views.end() && it->second.selected,
-                     "from_view is not materialized");
-    SNCUBE_CHECK_MSG(NeededDims(query).IsSubsetOf(*query.from_view),
-                     "from_view does not cover the query");
-    return *query.from_view;
-  }
   return RouteQuery(query, index_).id;
 }
 
@@ -93,11 +96,11 @@ QueryAnswer CubeQueryEngine::Execute(const Query& query) const {
   answer.rel =
       SortAndAggregate(projected, IdentityOrder(projected.width()), query.fn);
 
-  answer.rel = TopKByMeasure(answer.rel, query.top_k);
+  answer.rel = TopKByMeasure(std::move(answer.rel), query.top_k);
   return answer;
 }
 
-Relation TopKByMeasure(const Relation& rel, int k) {
+Relation TopKByMeasure(Relation rel, int k) {
   if (k <= 0 || static_cast<std::size_t>(k) >= rel.size()) return rel;
   // ORDER BY measure DESC LIMIT k (ties by key order for determinism).
   std::vector<std::size_t> rows(rel.size());

@@ -52,18 +52,22 @@ struct QueryAnswer {
 
 // ORDER BY measure DESC LIMIT k over an aggregated relation (ties broken by
 // row order, i.e. key order, for determinism). k <= 0 or k >= size returns
-// the input unchanged. Shared by the engine and the scatter/gather router,
-// which must re-apply top-k after merging per-shard partials.
-Relation TopKByMeasure(const Relation& rel, int k);
+// the input unchanged (moved through). Shared by the engine and the
+// scatter/gather router, which must re-apply top-k after merging per-shard
+// partials.
+Relation TopKByMeasure(Relation rel, int k);
 
 // The routing rule: among the views of `index` (a cube's view index, see
 // IndexOf and seqcube/view_store.h) that contain every dimension `query`
 // references — group-by and filters — the one with the fewest rows, ties
-// broken by the smallest ViewId (mask) so routing is deterministic. Ignores
-// `query.from_view`. Throws when no view covers the query (possible for
-// partial cubes). The engine routes its in-memory cube with it, and
-// `sncube query` routes a cube directory's manifest with it before loading
-// the one view it names. Returns that view's entry in `index`.
+// broken by the smallest ViewId (mask) so routing is deterministic. A set
+// `query.from_view` is taken as is, after checking that the index lists it
+// and that it covers the query. Throws when no view covers the query
+// (possible for partial cubes) or the pin fails a check. The engine routes
+// its in-memory cube with it, the sharded tier routes an epoch's summed
+// slice index with it, and `sncube query` routes a cube directory's
+// manifest with it before loading the one view it names. Returns that
+// view's entry in `index`.
 const ViewEntry& RouteQuery(const Query& query,
                             std::span<const ViewEntry> index);
 
@@ -79,8 +83,8 @@ class CubeQueryEngine {
   // and must not be mutated while any engine method is executing.
   explicit CubeQueryEngine(const CubeResult& cube);
 
-  // The materialized view a query would be routed to: `from_view` when
-  // set, else RouteQuery over the cube's selected views.
+  // The materialized view a query would be routed to: RouteQuery over the
+  // cube's selected views.
   ViewId Route(const Query& query) const;
 
   QueryAnswer Execute(const Query& query) const;

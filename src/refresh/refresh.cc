@@ -14,9 +14,10 @@ RefreshCoordinator::RefreshCoordinator(ShardSet& shards,
     : shards_(shards),
       schema_(schema),
       options_(std::move(options)),
-      store_(options_.dir, disk_),
-      current_(std::move(base)) {
-  SNCUBE_CHECK_MSG(current_ != nullptr, "refresh needs the serving base cube");
+      store_(options_.dir, disk_) {
+  SNCUBE_CHECK_MSG(base != nullptr, "refresh needs the serving base cube");
+  SNCUBE_CHECK_MSG(IndexOf(*base) == shards_.Index(shards_.serving_epoch()),
+                   "refresh base is not the cube the shard set serves");
   // The coordinator is rank 0 of its injector: transient errors and silent
   // corruption from rank-0 disk clauses strike the snapshot writes below.
   if (options_.injector != nullptr) disk_.set_fault_hook(options_.injector);
@@ -37,36 +38,52 @@ std::uint64_t RefreshCoordinator::Refresh(const Relation& delta) {
   const std::uint64_t epoch = shards_.serving_epoch() + 1;
 
   // ---- Compute (nothing durable, nothing serving) ----
-  const std::vector<ViewId> affected = AffectedViews(*current_, delta);
-  std::shared_ptr<const CubeResult> next;
+  // The merge base is the serving epoch's slices; that epoch stays hosted
+  // until the finalize after this one.
+  const auto base = shards_.Slices(epoch - 1);
+  SNCUBE_CHECK(base != nullptr);
+  const std::vector<ViewId> affected = AffectedViews(base->front(), delta);
+  std::vector<CubeResult> next(base->size());
   {
     SNCUBE_TRACE_SPAN("refresh-delta-cube");
-    CubeResult delta_cube = ComputeDeltaCube(delta, schema_, affected,
-                                             options_.fn, &disk_, nullptr,
-                                             options_.strategy);
+    const std::vector<CubeResult> delta_slices = PartitionCubeForServing(
+        ComputeDeltaCube(delta, schema_, affected, options_.fn, &disk_,
+                         nullptr, options_.strategy),
+        shards_.shards());
     SNCUBE_TRACE_SPAN("refresh-merge");
-    next = std::make_shared<const CubeResult>(
-        MergeDeltaCube(*current_, delta_cube, options_.fn));
+    for (std::size_t s = 0; s < next.size(); ++s) {
+      next[s] = MergeDeltaCube((*base)[s], delta_slices[s], options_.fn);
+    }
   }
   if (options_.metrics != nullptr) {
+    std::uint64_t merged_rows = 0;
+    for (const CubeResult& slice : next) {
+      merged_rows += slice.TotalRows(/*selected_only=*/false);
+    }
     options_.metrics->GetCounter("refresh.delta_rows").Add(delta.size());
     options_.metrics->GetCounter("refresh.views_rebuilt")
         .Add(affected.size());
-    options_.metrics->GetCounter("refresh.merged_rows")
-        .Add(next->TotalRows(/*selected_only=*/false));
+    options_.metrics->GetCounter("refresh.merged_rows").Add(merged_rows);
   }
 
   // ---- Prepare: durable bytes, still serving the old epoch ----
   EnterPhase(0);
   {
     SNCUBE_TRACE_SPAN("refresh-snapshot");
-    store_.WriteEpoch(epoch, *next, [this] { EnterPhase(1); });
+    // WriteEpoch's loop over the assembled views, one in memory at a time.
+    std::vector<std::uint32_t> masks;
+    for (const auto& [id, vr] : next.front().views) {
+      store_.WriteEpochView(epoch, AssembleServingView(next, id));
+      masks.push_back(id.mask());
+      if (masks.size() == 1) EnterPhase(1);
+    }
+    store_.AppendPrepare(epoch, std::move(masks));
   }
   EnterPhase(2);
 
   // ---- Two-phase swap ----
   SNCUBE_TRACE_SPAN("refresh-swap");
-  shards_.PrepareEpoch(epoch, next);
+  shards_.PrepareEpoch(epoch, std::move(next));
   for (int s = 0; s < shards_.shards(); ++s) {
     if (s > 0) EnterPhase(3);
     store_.AppendCommitShard(epoch, s);
@@ -78,7 +95,6 @@ std::uint64_t RefreshCoordinator::Refresh(const Relation& delta) {
   EnterPhase(5);
   if (epoch >= 1) store_.RemoveEpochDirsBelow(epoch - 1);
 
-  current_ = std::move(next);
   if (options_.metrics != nullptr) {
     options_.metrics->GetCounter("refresh.epochs_installed").Increment();
   }

@@ -3,7 +3,8 @@
 //
 // One Refresh(delta) call runs the full pipeline:
 //
-//   delta ── AffectedViews ── ComputeDeltaCube ── MergeDeltaCube ──▶ cube E
+//   delta ── AffectedViews ── ComputeDeltaCube ── PartitionCubeForServing
+//     ── per slice s: MergeDeltaCube(serving slice s, delta slice s) ──▶ E
 //                                                                     │
 //   SnapshotStore: write epoch_E/ views ── "prepare E" ───────────────┤
 //   ShardSet:      PrepareEpoch(E)  (hosted, NOT serving)             │
@@ -11,6 +12,14 @@
 //   SnapshotStore: "commit E"   ◀── THE atomic commit point           │
 //   ShardSet:      FinalizeEpoch(E)  (serving_epoch ← E)              ▼
 //   cleanup:       retire epoch dirs ≤ E-2
+//
+// The merge runs slice by slice: partitioning keeps every group's rows on
+// one slice in base order, so merging the delta's slice s into the serving
+// epoch's slice s gives exactly slice s of the whole-cube merge. Each
+// snapshot view file is written from AssembleServingView over the new
+// slices, one view in memory at a time, with the same bytes
+// SnapshotStore::WriteEpoch writes for the whole merged cube. No full cube
+// exists after epoch 0.
 //
 // CRASH MODEL. A refreshkill:<K> fault clause (net/fault.h) makes the
 // coordinator throw InjectedFaultError on entry to phase K — every durable
@@ -71,8 +80,10 @@ struct RefreshOptions {
 class RefreshCoordinator {
  public:
   // `shards` is the live serving tier (borrowed; must outlive the
-  // coordinator). `base` is the cube `shards` currently serves — the merge
-  // source for the first refresh — and `schema` its canonical schema.
+  // coordinator), and `schema` its cube's canonical schema. `base` is the
+  // cube `shards` currently serves; it is checked against the serving
+  // epoch's view index and not kept — every refresh merges into the serving
+  // epoch's slices.
   RefreshCoordinator(ShardSet& shards, std::shared_ptr<const CubeResult> base,
                      const Schema& schema, RefreshOptions options);
 
@@ -83,9 +94,6 @@ class RefreshCoordinator {
   // a fresh process via SnapshotStore::Recover), SncubeIoError on persistent
   // disk failure.
   std::uint64_t Refresh(const Relation& delta);
-
-  // The cube the latest completed Refresh installed (the base before any).
-  const std::shared_ptr<const CubeResult>& current() const { return current_; }
 
   SnapshotStore& store() { return store_; }
   DiskModel& disk() { return disk_; }
@@ -98,7 +106,6 @@ class RefreshCoordinator {
   RefreshOptions options_;
   DiskModel disk_;
   SnapshotStore store_;
-  std::shared_ptr<const CubeResult> current_;
 };
 
 }  // namespace sncube

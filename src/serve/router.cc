@@ -321,7 +321,10 @@ RouterResult Router::Execute(const Query& query) {
     // Partials must carry every group: top-k is re-applied after the merge
     // (a group outside one slice's local top-k can win globally).
     sub.top_k = 0;
-    Relation merged(query.group_by.dim_count());
+    // The fold starts from the first two partials, so each partial is read
+    // once and the merged answer is moved, not copied, into the reply.
+    std::shared_ptr<const QueryAnswer> first;
+    Relation merged;
     std::uint64_t scanned = 0;
     out.outcome = RouterOutcome::kOk;
     for (int sl = 0; sl < shards_.shards(); ++sl) {
@@ -334,12 +337,18 @@ RouterResult Router::Execute(const Query& query) {
         out.outcome = MapOutcome(r.outcome);
         break;
       }
-      merged = MergeSortedAggregate(merged, r.answer->rel, query.fn);
       scanned += r.answer->rows_scanned;
+      if (sl == 0) {
+        first = r.answer;
+      } else {
+        merged = MergeSortedAggregate(sl == 1 ? first->rel : merged,
+                                      r.answer->rel, query.fn);
+      }
     }
     if (out.outcome == RouterOutcome::kOk) {
+      if (shards_.shards() == 1) merged = first->rel;
       auto ans = std::make_shared<QueryAnswer>();
-      ans->rel = TopKByMeasure(merged, query.top_k);
+      ans->rel = TopKByMeasure(std::move(merged), query.top_k);
       ans->answered_from = view;
       ans->rows_scanned = scanned;
       out.answer = std::move(ans);

@@ -1,5 +1,9 @@
 #include "serve/shard_set.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <string>
 #include <utility>
@@ -7,6 +11,18 @@
 #include "common/status.h"
 
 namespace sncube {
+namespace {
+
+// Hands the free pages of a dropped epoch back to the OS. glibc keeps freed
+// chunks in its arenas, so without this a long-running server's RSS climbs
+// by about one epoch per swap although only two epochs are live.
+void ReleaseFreedPages() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
+
+}  // namespace
 
 int SliceOfLeadingKey(Key value, int n_slices) {
   SNCUBE_DCHECK(n_slices >= 1);
@@ -23,39 +39,81 @@ int SliceOfLeadingKey(Key value, int n_slices) {
 std::vector<CubeResult> PartitionCubeForServing(const CubeResult& cube,
                                                 int n_slices) {
   SNCUBE_CHECK(n_slices >= 1);
-  std::vector<CubeResult> slices(static_cast<std::size_t>(n_slices));
+  const auto n = static_cast<std::size_t>(n_slices);
+  std::vector<CubeResult> slices(n);
   for (const auto& [id, vr] : cube.views) {
+    // Source rows per slice, ascending. Column 0 is the leading
+    // (smallest-index, highest-cardinality) dimension in the canonical
+    // layout. The 0-dim "all" view has no leading dimension; its single row
+    // (if materialized non-empty) is assigned to slice 0 by convention, and
+    // the router treats empty-view queries as point lookups on slice 0.
+    SNCUBE_CHECK_MSG(vr.rel.size() <= UINT32_MAX,
+                     "view too large to partition (2^32 rows)");
+    std::vector<std::vector<std::uint32_t>> rows(n);
+    for (std::size_t r = 0; r < vr.rel.size(); ++r) {
+      const int s =
+          id.empty() ? 0 : SliceOfLeadingKey(vr.rel.key(r, 0), n_slices);
+      rows[static_cast<std::size_t>(s)].push_back(
+          static_cast<std::uint32_t>(r));
+    }
     // Every slice carries every view (possibly empty) so from_view-pinned
-    // routing resolves against any slice.
-    std::vector<ViewResult> shells(static_cast<std::size_t>(n_slices));
-    for (auto& shell : shells) {
+    // routing resolves against any slice. Gathering rows in source order
+    // keeps each slice sorted by vr.order — a subsequence of sorted rows.
+    for (std::size_t s = 0; s < n; ++s) {
+      ViewResult shell;
       shell.id = id;
       shell.order = vr.order;
       shell.selected = vr.selected;
       shell.rel = Relation(vr.rel.width());
-    }
-    if (id.empty()) {
-      // The 0-dim "all" view has no leading dimension; its single row (if
-      // materialized non-empty) is assigned to slice 0 by convention. The
-      // router treats empty-view queries as point lookups on slice 0.
-      for (std::size_t r = 0; r < vr.rel.size(); ++r) {
-        shells[0].rel.AppendRow(vr.rel, r);
-      }
-    } else {
-      // Column 0 is the leading (smallest-index, highest-cardinality)
-      // dimension in the canonical layout. Appending in row order keeps
-      // each slice sorted by vr.order — a subsequence of sorted rows.
-      for (std::size_t r = 0; r < vr.rel.size(); ++r) {
-        const int s = SliceOfLeadingKey(vr.rel.key(r, 0), n_slices);
-        shells[static_cast<std::size_t>(s)].rel.AppendRow(vr.rel, r);
-      }
-    }
-    for (int s = 0; s < n_slices; ++s) {
-      slices[static_cast<std::size_t>(s)].views.emplace(
-          id, std::move(shells[static_cast<std::size_t>(s)]));
+      shell.rel.Resize(rows[s].size());
+      shell.rel.GatherRows(vr.rel, rows[s], 0);
+      slices[s].views.emplace(id, std::move(shell));
     }
   }
   return slices;
+}
+
+ViewResult AssembleServingView(std::span<const CubeResult> slices, ViewId id) {
+  SNCUBE_CHECK(!slices.empty());
+  std::vector<const Relation*> parts;
+  std::size_t rows = 0;
+  for (const CubeResult& slice : slices) {
+    parts.push_back(&slice.views.at(id).rel);
+    rows += parts.back()->size();
+  }
+  const ViewResult& first = slices.front().views.at(id);
+  ViewResult out;
+  out.id = id;
+  out.order = first.order;
+  out.selected = first.selected;
+  out.rel = Relation(first.rel.width());
+  out.rel.Reserve(rows);
+  // N-way merge in the view's sort order. Groups are distinct, so no two
+  // heads ever compare equal and the merge needs no tie rule.
+  const std::vector<int> cols = ColumnsOf(id, first.order);
+  std::vector<std::size_t> next(parts.size(), 0);
+  for (std::size_t k = 0; k < rows; ++k) {
+    std::size_t best = parts.size();
+    for (std::size_t s = 0; s < parts.size(); ++s) {
+      if (next[s] == parts[s]->size()) continue;
+      if (best == parts.size() ||
+          CompareRows(*parts[s], next[s], cols, *parts[best], next[best],
+                      cols) < 0) {
+        best = s;
+      }
+    }
+    out.rel.AppendRow(*parts[best], next[best]++);
+  }
+  return out;
+}
+
+CubeResult AssembleServingCube(std::span<const CubeResult> slices) {
+  SNCUBE_CHECK(!slices.empty());
+  CubeResult cube;
+  for (const auto& [id, vr] : slices.front().views) {
+    cube.views.emplace(id, AssembleServingView(slices, id));
+  }
+  return cube;
 }
 
 const char* TryOutcomeName(TryOutcome o) {
@@ -105,9 +163,7 @@ ShardSet::ShardSet(const CubeResult& cube, const ShardSetOptions& options,
                               std::memory_order_relaxed);
     hosted_.push_back(std::move(hs));
   }
-  // The construction-time cube is epoch 0, borrowed like every pre-refresh
-  // caller expects.
-  auto st = BuildEpochState(0, nullptr, cube);
+  auto st = BuildEpochState(0, PartitionCubeForServing(cube, n_));
   MutexLock lock(mu_);
   epochs_.emplace(0, std::move(st));
 }
@@ -115,14 +171,18 @@ ShardSet::ShardSet(const CubeResult& cube, const ShardSetOptions& options,
 ShardSet::~ShardSet() { Shutdown(); }
 
 std::shared_ptr<ShardSet::EpochState> ShardSet::BuildEpochState(
-    std::uint64_t epoch, std::shared_ptr<const CubeResult> owned,
-    const CubeResult& full) {
+    std::uint64_t epoch, std::vector<CubeResult> slices) {
+  SNCUBE_CHECK_MSG(slices.size() == static_cast<std::size_t>(n_),
+                   "an epoch needs one slice per shard");
   auto st = std::make_shared<EpochState>();
   st->epoch = epoch;
-  st->owned = std::move(owned);
-  st->full = &full;
-  st->engine = std::make_unique<CubeQueryEngine>(full);
-  st->slices = PartitionCubeForServing(full, n_);
+  st->slices = std::move(slices);
+  st->index = IndexOf(st->slices.front());
+  for (ViewEntry& entry : st->index) {
+    for (std::size_t s = 1; s < st->slices.size(); ++s) {
+      entry.rows += st->slices[s].views.at(entry.id).rel.size();
+    }
+  }
   ServerOptions server = options_.server;
   server.epoch = epoch;
   st->copies.resize(static_cast<std::size_t>(n_));
@@ -144,14 +204,12 @@ std::shared_ptr<ShardSet::EpochState> ShardSet::StateFor(
 }
 
 void ShardSet::PrepareEpoch(std::uint64_t epoch,
-                            std::shared_ptr<const CubeResult> cube) {
-  SNCUBE_CHECK_MSG(cube != nullptr, "PrepareEpoch needs a cube");
+                            std::vector<CubeResult> slices) {
   SNCUBE_CHECK_MSG(epoch > serving_epoch(),
                    "refresh epochs must advance monotonically");
-  const CubeResult& full = *cube;
-  // Partitioning and server spin-up happen outside the lock — a prepare can
-  // be expensive and must not stall the request path's epoch resolution.
-  auto st = BuildEpochState(epoch, std::move(cube), full);
+  // Index and server spin-up happen outside the lock — a prepare must not
+  // stall the request path's epoch resolution.
+  auto st = BuildEpochState(epoch, std::move(slices));
   MutexLock lock(mu_);
   const bool inserted = epochs_.emplace(epoch, std::move(st)).second;
   SNCUBE_CHECK_MSG(inserted, "epoch already prepared");
@@ -192,6 +250,10 @@ void ShardSet::FinalizeEpoch(std::uint64_t epoch) {
       copy.replica->Shutdown();
     }
   }
+  if (!retired.empty()) {
+    retired.clear();
+    ReleaseFreedPages();
+  }
 }
 
 void ShardSet::AbandonEpoch(std::uint64_t epoch) {
@@ -209,6 +271,8 @@ void ShardSet::AbandonEpoch(std::uint64_t epoch) {
     copy.primary->Shutdown();
     copy.replica->Shutdown();
   }
+  st.reset();
+  ReleaseFreedPages();
 }
 
 std::vector<std::uint64_t> ShardSet::HostedEpochs() const {
@@ -219,12 +283,29 @@ std::vector<std::uint64_t> ShardSet::HostedEpochs() const {
   return out;
 }
 
-ViewId ShardSet::RouteOnFull(const Query& query, std::uint64_t epoch) const {
-  const auto st = StateFor(epoch);
+std::shared_ptr<ShardSet::EpochState> ShardSet::HostedState(
+    std::uint64_t epoch) const {
+  auto st = StateFor(epoch);
   if (st == nullptr) {
-    throw SncubeError("route against retired epoch " + std::to_string(epoch));
+    throw SncubeError("epoch " + std::to_string(epoch) + " is not hosted");
   }
-  return st->engine->Route(query);
+  return st;
+}
+
+ViewId ShardSet::RouteOnFull(const Query& query, std::uint64_t epoch) const {
+  return RouteQuery(query, HostedState(epoch)->index).id;
+}
+
+std::vector<ViewEntry> ShardSet::Index(std::uint64_t epoch) const {
+  return HostedState(epoch)->index;
+}
+
+std::shared_ptr<const std::vector<CubeResult>> ShardSet::Slices(
+    std::uint64_t epoch) const {
+  auto st = StateFor(epoch);
+  if (st == nullptr) return nullptr;
+  const std::vector<CubeResult>* slices = &st->slices;
+  return {std::move(st), slices};
 }
 
 void ShardSet::Shutdown() {

@@ -18,15 +18,18 @@
 // sub-query; this file is where that requirement comes from.
 //
 // EPOCHS (online refresh, src/refresh): the set hosts one or more immutable
-// snapshot EPOCHS of the cube at once. Epoch 0 is the construction-time
-// cube; RefreshCoordinator installs successors via the two-phase surface
-// below (PrepareEpoch → CommitShard per shard → FinalizeEpoch). Every
-// request is pinned to one epoch — the router reads serving_epoch() once at
-// entry and passes it to every sub-query — so a scatter can never mix rows
-// from two snapshots even while a swap is in flight. The previous epoch's
-// copies are retained until the NEXT finalize so requests that pinned it
-// mid-swap drain gracefully; a request whose pinned epoch has since retired
-// fails typed (kEpochGone), never with another epoch's data.
+// snapshot EPOCHS of the cube at once. An epoch is exactly one copy of its
+// cube — its N slices, owned by the set — plus a view index (row counts
+// summed over the slices) that routing reads. Epoch 0 is partitioned from
+// the construction-time cube; RefreshCoordinator installs successors,
+// already sliced, via the two-phase surface below (PrepareEpoch →
+// CommitShard per shard → FinalizeEpoch). Every request is pinned to one
+// epoch — the router reads serving_epoch() once at entry and passes it to
+// every sub-query — so a scatter can never mix rows from two snapshots even
+// while a swap is in flight. The previous epoch's copies are retained until
+// the NEXT finalize so requests that pinned it mid-swap drain gracefully; a
+// request whose pinned epoch has since retired fails typed (kEpochGone),
+// never with another epoch's data.
 //
 // Placement is replication factor 2 over N shard "nodes": shard s hosts the
 // PRIMARY copy of slice s and a REPLICA of slice (s-1+N)%N, so slice k can
@@ -50,6 +53,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/mutex.h"
@@ -70,9 +74,19 @@ int SliceOfLeadingKey(Key value, int n_slices);
 
 // Splits `cube` into `n_slices` per-slice cubes. Every view appears in every
 // slice (same id/order/selected, possibly with an empty relation), so
-// from_view-pinned routing works against any slice.
+// from_view-pinned routing works against any slice. Each slice relation is
+// sized once to its exact row count.
 std::vector<CubeResult> PartitionCubeForServing(const CubeResult& cube,
                                                 int n_slices);
+
+// The inverse of PartitionCubeForServing for view `id`: merges the view's
+// slice rows back in the view's sort order. A view's rows are distinct
+// groups sorted by `order` and each slice keeps a subsequence of them, so
+// the merge restores the partitioned view byte for byte.
+ViewResult AssembleServingView(std::span<const CubeResult> slices, ViewId id);
+
+// AssembleServingView over every view: the cube the slices partition.
+CubeResult AssembleServingCube(std::span<const CubeResult> slices);
 
 struct ShardSetOptions {
   int shards = 4;             // N nodes = N slices (>= 1)
@@ -114,9 +128,9 @@ struct TryResult {
 
 class ShardSet {
  public:
-  // The cube must outlive the ShardSet and stay immutable (the usual
-  // CubeResult serving contract); it becomes epoch 0. Serve-tier clauses of
-  // `plan` must target shards < options.shards.
+  // Partitions `cube` into the slices of epoch 0; the set keeps no
+  // reference to `cube`. Serve-tier clauses of `plan` must target shards <
+  // options.shards.
   ShardSet(const CubeResult& cube, const ShardSetOptions& options,
            const FaultPlan& plan = {});
   ~ShardSet();
@@ -135,18 +149,30 @@ class ShardSet {
   }
 
   // Routing over the FULL cube of `epoch` — all slices must agree on the
-  // answering view, so the choice is made against the unpartitioned row
-  // counts of the same snapshot the scatter will execute on. Throws
-  // SncubeError when no materialized view covers the query or the epoch has
-  // retired.
+  // answering view, so RouteQuery picks it from the epoch's view index,
+  // whose row counts are the unpartitioned ones of the same snapshot the
+  // scatter will execute on. Throws SncubeError when no materialized view
+  // covers the query, a from_view pin is not materialized or does not cover
+  // the query, or the epoch has retired.
   ViewId RouteOnFull(const Query& query, std::uint64_t epoch) const;
   ViewId RouteOnFull(const Query& query) const {
     return RouteOnFull(query, serving_epoch());
   }
 
+  // The view index of `epoch` (selected views, ascending mask, rows summed
+  // over the slices). Throws SncubeError when the epoch is not hosted.
+  std::vector<ViewEntry> Index(std::uint64_t epoch) const;
+
+  // The slices hosted for `epoch`, kept alive by the returned pointer even
+  // if the epoch retires meanwhile; null when the epoch is not hosted. The
+  // refresh coordinator merges its deltas into the serving epoch's slices.
+  std::shared_ptr<const std::vector<CubeResult>> Slices(
+      std::uint64_t epoch) const;
+
   // ---- Two-phase swap surface (driven by refresh::RefreshCoordinator) ----
   //
-  // PrepareEpoch builds and hosts the new epoch's slices and servers
+  // PrepareEpoch hosts the new epoch's slices (one per shard, in the
+  // layout PartitionCubeForServing produces) and spins up their servers
   // WITHOUT serving them: requests keep pinning the old epoch. CommitShard
   // marks one shard's node as having adopted the epoch (bookkeeping in
   // pinned mode; the serving epoch in the pin_epoch=false test hole).
@@ -154,9 +180,9 @@ class ShardSet {
   // every epoch older than the immediately preceding one (ClearEpoch-style
   // per-epoch cache invalidation happens by construction: each epoch's
   // servers die with it). AbandonEpoch drops a prepared-but-uncommitted
-  // epoch after an aborted refresh.
-  void PrepareEpoch(std::uint64_t epoch,
-                    std::shared_ptr<const CubeResult> cube);
+  // epoch after an aborted refresh. Both return the pages of the epochs
+  // they drop to the OS (glibc malloc_trim).
+  void PrepareEpoch(std::uint64_t epoch, std::vector<CubeResult> slices);
   void CommitShard(std::uint64_t epoch, int shard);
   void FinalizeEpoch(std::uint64_t epoch);
   void AbandonEpoch(std::uint64_t epoch);
@@ -191,16 +217,14 @@ class ShardSet {
   void Shutdown();
 
  private:
-  // One immutable snapshot epoch: the full cube (owned for refresh-produced
-  // epochs, borrowed for epoch 0), its routing engine, its N slices, and a
-  // (primary, replica) CubeServer pair per shard node. Handed out as
-  // shared_ptr so a retire cannot destroy state under an in-flight request.
+  // One immutable snapshot epoch: its N slices, the view index routing
+  // reads, and a (primary, replica) CubeServer pair per shard node. Handed
+  // out as shared_ptr so a retire cannot destroy state under an in-flight
+  // request.
   struct EpochState {
     std::uint64_t epoch = 0;
-    std::shared_ptr<const CubeResult> owned;  // null for the borrowed epoch 0
-    const CubeResult* full = nullptr;
-    std::unique_ptr<CubeQueryEngine> engine;
     std::vector<CubeResult> slices;  // immutable once servers exist
+    std::vector<ViewEntry> index;    // selected views, rows summed
     struct Copy {
       std::unique_ptr<CubeServer> primary;  // slice == shard index
       std::unique_ptr<CubeServer> replica;  // slice == (shard-1+N)%N
@@ -228,12 +252,14 @@ class ShardSet {
     double factor = 1.0;
   };
 
-  // Builds a fully-wired EpochState (slices, engine, servers). No locks.
-  std::shared_ptr<EpochState> BuildEpochState(
-      std::uint64_t epoch, std::shared_ptr<const CubeResult> owned,
-      const CubeResult& full);
+  // Builds a fully-wired EpochState (index, servers) over `slices`. No
+  // locks.
+  std::shared_ptr<EpochState> BuildEpochState(std::uint64_t epoch,
+                                              std::vector<CubeResult> slices);
   // nullptr when the epoch is not hosted.
   std::shared_ptr<EpochState> StateFor(std::uint64_t epoch) const;
+  // StateFor that throws SncubeError when the epoch is not hosted.
+  std::shared_ptr<EpochState> HostedState(std::uint64_t epoch) const;
   static CubeServer* ServerIn(EpochState& st, int shard, int slice, int n);
   bool Killed(int shard, std::uint64_t seq) const;
   double SlowFactor(int shard, std::uint64_t seq) const;

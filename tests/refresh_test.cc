@@ -373,8 +373,8 @@ TEST(SnapshotStore, TornManifestTailEndsDurablePrefix) {
 
 TEST(ShardSetEpochs, TwoPhaseSwapServesPinnedEpochThenRetires) {
   const CubeResult old_cube = SmallCube(17);
-  auto new_cube = std::make_shared<const CubeResult>(SmallCube(18));
-  auto third = std::make_shared<const CubeResult>(SmallCube(19));
+  const CubeResult new_cube = SmallCube(18);
+  const CubeResult third = SmallCube(19);
 
   ManualServeClock clock;
   ShardSetOptions opts;
@@ -389,7 +389,7 @@ TEST(ShardSetEpochs, TwoPhaseSwapServesPinnedEpochThenRetires) {
   q.group_by = ViewId(0);  // the "all" row: lives on slice 0 of every epoch
   q.from_view = ViewId(0);
 
-  set.PrepareEpoch(1, new_cube);
+  set.PrepareEpoch(1, PartitionCubeForServing(new_cube, 2));
   EXPECT_EQ(set.serving_epoch(), 0u);  // prepared ≠ serving
   EXPECT_EQ(set.HostedEpochs(), (std::vector<std::uint64_t>{0, 1}));
   set.CommitShard(1, 0);
@@ -408,9 +408,9 @@ TEST(ShardSetEpochs, TwoPhaseSwapServesPinnedEpochThenRetires) {
   EXPECT_EQ(set.HostedEpochs(), (std::vector<std::uint64_t>{0, 1}));
   const TryResult r1 = set.ExecuteOnShard(0, 0, q, 1, 1);
   ASSERT_EQ(r1.outcome, TryOutcome::kOk);
-  EXPECT_TRUE(r1.answer->rel == new_cube->views.at(ViewId(0)).rel);
+  EXPECT_TRUE(r1.answer->rel == new_cube.views.at(ViewId(0)).rel);
 
-  set.PrepareEpoch(2, third);
+  set.PrepareEpoch(2, PartitionCubeForServing(third, 2));
   set.CommitShard(2, 0);
   set.CommitShard(2, 1);
   set.FinalizeEpoch(2);
@@ -425,7 +425,7 @@ TEST(ShardSetEpochs, TwoPhaseSwapServesPinnedEpochThenRetires) {
 
 TEST(ShardSetEpochs, AbandonEpochDropsPreparedState) {
   const CubeResult old_cube = SmallCube(17);
-  auto new_cube = std::make_shared<const CubeResult>(SmallCube(18));
+  const CubeResult new_cube = SmallCube(18);
   ManualServeClock clock;
   ShardSetOptions opts;
   opts.shards = 2;
@@ -433,13 +433,128 @@ TEST(ShardSetEpochs, AbandonEpochDropsPreparedState) {
   opts.server.workers = 1;
   opts.server.deadline = std::chrono::microseconds(0);
   ShardSet set(old_cube, opts);
-  set.PrepareEpoch(1, new_cube);
+  set.PrepareEpoch(1, PartitionCubeForServing(new_cube, 2));
   EXPECT_EQ(set.HostedEpochs(), (std::vector<std::uint64_t>{0, 1}));
   set.AbandonEpoch(1);
   set.AbandonEpoch(1);  // idempotent
   EXPECT_EQ(set.HostedEpochs(), (std::vector<std::uint64_t>{0}));
   EXPECT_EQ(set.serving_epoch(), 0u);
   set.Shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Slice-only epochs: the coordinator merges slice by slice
+// ---------------------------------------------------------------------------
+
+// Facts whose every key hashes to the slice of key 0, so each view's delta
+// lands on that one slice (the 0-dim view's row stays on slice 0).
+Relation OneSliceDelta(const Schema& schema, int shards) {
+  const int target = SliceOfLeadingKey(0, shards);
+  std::vector<std::vector<Key>> values(static_cast<std::size_t>(schema.dims()));
+  for (int d = 0; d < schema.dims(); ++d) {
+    for (Key v = 0; v < schema.cardinality(d); ++v) {
+      if (SliceOfLeadingKey(v, shards) == target) {
+        values[static_cast<std::size_t>(d)].push_back(v);
+      }
+    }
+  }
+  Relation delta(schema.dims());
+  std::vector<Key> row(values.size());
+  for (std::size_t r = 0; r < 40; ++r) {
+    for (std::size_t d = 0; d < values.size(); ++d) {
+      row[d] = values[d][(r * (d + 1)) % values[d].size()];
+    }
+    delta.Append(row, static_cast<Measure>(r % 7) + 1);
+  }
+  return delta;
+}
+
+// After every Refresh the hosted slices are exactly the partition of the
+// whole-cube merge, and the epoch's snapshot files are exactly what
+// WriteEpoch writes for that merged cube: shards 1-4, full and partial
+// cubes (auxiliary views included), sum/min/max, and three stacked
+// refreshes per set — a random delta, an empty one, and one whose rows all
+// hash to a single slice.
+TEST(RefreshSlices, HostedSlicesAndSnapshotsMatchTheWholeCubeMerge) {
+  const DatasetSpec spec = BaseSpec();
+  const Schema schema = spec.MakeSchema();
+  const Relation base_rel = GenerateSlice(spec, 1, 0);
+  const AnalyticEstimator est(schema, static_cast<double>(base_rel.size()));
+  const std::vector<std::vector<ViewId>> selections = {
+      AllViews(3),
+      GreedySelectViews(3, 3, est),
+      {ViewId::FromDims({0, 1}), ViewId::FromDims({0, 2})}};  // + 1 aux
+  std::size_t aux_views = 0;
+  for (const AggFn fn : {AggFn::kSum, AggFn::kMin, AggFn::kMax}) {
+    for (const auto& selected : selections) {
+      const CubeResult cube = SequentialCube(base_rel, schema, selected, fn);
+      aux_views += cube.views.size() - IndexOf(cube).size();
+      for (int shards = 1; shards <= 4; ++shards) {
+        const std::string what = "fn " + std::to_string(static_cast<int>(fn)) +
+                                 ", " + std::to_string(selected.size()) +
+                                 " views, " + std::to_string(shards) +
+                                 " shards";
+        const auto dir = FreshDir("slices");
+        ManualServeClock clock;
+        ShardSetOptions sopts;
+        sopts.shards = shards;
+        sopts.clock = &clock;
+        sopts.server.workers = 1;
+        sopts.server.deadline = std::chrono::microseconds(0);
+        ShardSet set(cube, sopts);
+        RefreshOptions ropts;
+        ropts.dir = (dir / "live").string();
+        ropts.fn = fn;
+        RefreshCoordinator coordinator(
+            set, std::make_shared<const CubeResult>(cube), schema, ropts);
+        DiskModel disk;
+        SnapshotStore whole((dir / "whole").string(), disk);
+
+        const Relation one_slice = OneSliceDelta(schema, shards);
+        {
+          // The one-slice delta really touches one slice (plus slice 0,
+          // which holds the 0-dim view).
+          const auto parts = PartitionCubeForServing(
+              ComputeDeltaCube(one_slice, schema, selected, fn), shards);
+          const auto target =
+              static_cast<std::size_t>(SliceOfLeadingKey(0, shards));
+          for (std::size_t s = 0; s < parts.size(); ++s) {
+            for (const auto& [id, vr] : parts[s].views) {
+              if (s != target && !id.empty()) {
+                EXPECT_TRUE(vr.rel.empty()) << what;
+              }
+            }
+          }
+        }
+        CubeResult want = cube;
+        for (const Relation& delta :
+             {GenerateSlice(DeltaSpec(), 1, 0), Relation(3), one_slice}) {
+          want = MergeDeltaCube(
+              want,
+              ComputeDeltaCube(delta, schema, AffectedViews(want, delta), fn),
+              fn);
+          const std::uint64_t epoch = coordinator.Refresh(delta);
+          const std::string at = what + ", epoch " + std::to_string(epoch);
+          const auto hosted = set.Slices(epoch);
+          ASSERT_NE(hosted, nullptr) << at;
+          const std::vector<CubeResult> expect =
+              PartitionCubeForServing(want, shards);
+          ASSERT_EQ(hosted->size(), expect.size()) << at;
+          for (std::size_t s = 0; s < expect.size(); ++s) {
+            ExpectCubesIdentical((*hosted)[s], expect[s],
+                                 at + ", slice " + std::to_string(s));
+          }
+          whole.WriteEpoch(epoch, want);
+          const std::string epoch_dir = "epoch_" + std::to_string(epoch);
+          ExpectSameFiles(dir / "live" / epoch_dir, dir / "whole" / epoch_dir,
+                          at);
+        }
+        set.Shutdown();
+        std::filesystem::remove_all(dir);
+      }
+    }
+  }
+  EXPECT_GT(aux_views, 0u);  // the partial cubes carried auxiliary views
 }
 
 // ---------------------------------------------------------------------------
@@ -556,7 +671,8 @@ TEST(RefreshCrashSafety, CompletedRefreshInstallsDurableNewEpoch) {
       rig.schema, ropts);
   EXPECT_EQ(coordinator.Refresh(rig.delta), 1u);
   EXPECT_EQ(set.serving_epoch(), 1u);
-  ExpectCubesIdentical(*coordinator.current(), rig.post, "installed");
+  ExpectCubesIdentical(AssembleServingCube(*set.Slices(1)), rig.post,
+                       "installed");
 
   // Durable state agrees with what is being served.
   DiskModel disk;

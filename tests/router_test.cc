@@ -26,14 +26,30 @@
 namespace sncube {
 namespace {
 
-CubeResult BuildCube(Schema* schema, std::uint64_t rows = 400) {
+// The test cube over `selected` views; empty selects the full cube.
+CubeResult BuildCube(Schema* schema, std::uint64_t rows = 400,
+                     std::vector<ViewId> selected = {}) {
   DatasetSpec spec;
   spec.rows = rows;
   spec.cardinalities = {8, 5, 3};
   spec.seed = 7;
   *schema = spec.MakeSchema();
   const Relation raw = GenerateSlice(spec, 1, 0);
-  return SequentialCube(raw, *schema, AllViews(schema->dims()));
+  if (selected.empty()) selected = AllViews(schema->dims());
+  return SequentialCube(raw, *schema, selected);
+}
+
+// The full cube and two partial ones; the {D0D1, D0D2} build adds one
+// auxiliary (selected = false) view.
+std::vector<CubeResult> FullAndPartialCubes(Schema* schema) {
+  std::vector<CubeResult> cubes;
+  cubes.push_back(BuildCube(schema));
+  cubes.push_back(BuildCube(
+      schema, 400, {ViewId::FromDims({0, 1}), ViewId::FromDims({0, 2})}));
+  cubes.push_back(BuildCube(schema, 400,
+                            {ViewId::FromDims({1}), ViewId::FromDims({0, 2}),
+                             ViewId::Empty()}));
+  return cubes;
 }
 
 // ---------------------------------------------------------------------------
@@ -65,6 +81,27 @@ TEST(ShardSetPartition, SlicesPartitionEveryViewByLeadingKey) {
     }
     EXPECT_EQ(total, vr.rel.size()) << "view " << id.mask();
   }
+}
+
+TEST(ShardSetPartition, AssembleInvertsPartitionAuxViewsIncluded) {
+  Schema schema;
+  std::size_t aux_views = 0;
+  for (const CubeResult& cube : FullAndPartialCubes(&schema)) {
+    aux_views += cube.views.size() - IndexOf(cube).size();
+    for (int n = 1; n <= 5; ++n) {
+      const CubeResult back =
+          AssembleServingCube(PartitionCubeForServing(cube, n));
+      ASSERT_EQ(back.views.size(), cube.views.size());
+      for (const auto& [id, vr] : cube.views) {
+        const ViewResult& got = back.views.at(id);
+        EXPECT_EQ(got.order, vr.order);
+        EXPECT_EQ(got.selected, vr.selected);
+        EXPECT_EQ(got.rel, vr.rel)
+            << "view " << id.mask() << ", " << n << " slices";
+      }
+    }
+  }
+  EXPECT_GT(aux_views, 0u);
 }
 
 TEST(ShardSetPartition, SliceOfLeadingKeyIsStable) {
@@ -210,6 +247,63 @@ TEST(QueryEngineFromView, RejectsNonCoveringPin) {
 }
 
 // ---------------------------------------------------------------------------
+// Routing on an epoch's summed slice index
+
+// A route call's outcome: the view it picked, or its error message.
+template <typename Fn>
+std::string RouteOutcome(Fn&& route) {
+  try {
+    return "view " + std::to_string(route().mask());
+  } catch (const SncubeError& e) {
+    return std::string("error: ") + e.what();
+  }
+}
+
+// RouteOnFull picks what CubeQueryEngine::Route picks on the whole cube, and
+// fails the same way, for every group-by with and without a filter and a
+// from_view pin (every view of the lattice, materialized or not).
+TEST(ShardSetRouting, RouteOnFullMatchesEngineRouteOnTheWholeCube) {
+  Schema schema;
+  int not_materialized = 0;
+  int not_covering = 0;
+  for (const CubeResult& cube : FullAndPartialCubes(&schema)) {
+    const CubeQueryEngine engine(cube);
+    ManualServeClock clock;
+    ShardSetOptions sopts;
+    sopts.shards = 3;
+    sopts.clock = &clock;
+    sopts.server.workers = 1;
+    ShardSet set(cube, sopts);
+    const std::vector<ViewId> lattice = AllViews(schema.dims());
+    for (const ViewId group_by : lattice) {
+      for (int filter = -1; filter < schema.dims(); ++filter) {
+        for (std::size_t pin = 0; pin <= lattice.size(); ++pin) {
+          Query q;
+          q.group_by = group_by;
+          if (filter >= 0) q.filters = {{.dim = filter, .value = 1}};
+          if (pin < lattice.size()) q.from_view = lattice[pin];
+          const std::string want =
+              RouteOutcome([&] { return engine.Route(q); });
+          EXPECT_EQ(RouteOutcome([&] { return set.RouteOnFull(q); }), want)
+              << IndexOf(cube).size() << " views, group-by "
+              << group_by.mask() << ", filter " << filter << ", pin " << pin;
+          not_materialized += want.find("is not materialized") !=
+                              std::string::npos;
+          not_covering += want.find("from_view does not cover") !=
+                          std::string::npos;
+        }
+      }
+    }
+    Query q;
+    q.group_by = ViewId::FromDims({1});
+    EXPECT_THROW(set.RouteOnFull(q, 1), SncubeError);  // never hosted
+    set.Shutdown();
+  }
+  EXPECT_GT(not_materialized, 0);
+  EXPECT_GT(not_covering, 0);
+}
+
+// ---------------------------------------------------------------------------
 // Router
 
 struct Serve {
@@ -295,6 +389,53 @@ TEST(Router, TopKScatterIsReappliedAfterMerge) {
   Query q = ScatterQuery();
   q.top_k = 5;
   ExpectCorrect(*s, q, s->router->Execute(q));
+}
+
+TEST(Router, ScatterWithAndWithoutTopKMatchesEngineOnEveryShardCount) {
+  for (int n = 1; n <= 4; ++n) {
+    auto s = MakeServe(n, "seed:1");
+    for (const int k : {0, 10}) {
+      Query q = ScatterQuery();
+      q.top_k = k;
+      const RouterResult r = s->router->Execute(q);
+      EXPECT_TRUE(r.scatter);
+      ExpectCorrect(*s, q, r);
+      EXPECT_EQ(r.answer->rel.size(), k == 0 ? 15u : 10u) << n << " shards";
+    }
+  }
+}
+
+// The set owns its slices: destroying the cube right after construction
+// leaves every answer intact.
+TEST(Router, ShardSetOutlivesTheCubeItWasBuiltFrom) {
+  Schema schema;
+  auto cube = std::make_unique<CubeResult>(BuildCube(&schema));
+  const CubeResult copy = *cube;
+  ManualServeClock clock;
+  ShardSetOptions sopts;
+  sopts.shards = 3;
+  sopts.clock = &clock;
+  sopts.server.workers = 2;
+  ShardSet set(*cube, sopts);
+  cube.reset();
+  Router router(set);
+  const CubeQueryEngine golden(copy);
+  WorkloadSpec wl;
+  wl.pool_size = 64;
+  wl.seed = 11;
+  const QueryMix mix(copy, schema, wl);
+  for (const Query& q : mix.pool()) {
+    Query pinned = q;  // routing checks a pin against the epoch's views
+    pinned.from_view = ViewId::Full(schema.dims());
+    for (const Query& sent : {q, pinned}) {
+      const RouterResult r = router.Execute(sent);
+      ASSERT_EQ(r.outcome, RouterOutcome::kOk) << RouterOutcomeName(r.outcome);
+      Query bare = q;
+      bare.from_view.reset();
+      EXPECT_EQ(r.answer->rel, golden.Execute(bare).rel);
+    }
+  }
+  set.Shutdown();
 }
 
 TEST(Router, DeadShardFailsOverToReplicaAndBreakerOpens) {
