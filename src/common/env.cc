@@ -22,11 +22,6 @@ std::int64_t EnvInt(const char* name, std::int64_t fallback) {
 
 bool EnvFlag(const char* name) { return EnvInt(name, 0) != 0; }
 
-std::string EnvStr(const char* name, const char* fallback) {
-  const char* v = std::getenv(name);
-  return (v == nullptr || *v == '\0') ? std::string(fallback) : std::string(v);
-}
-
 std::int64_t BenchRows(std::int64_t default_n, std::int64_t paper_n) {
   if (EnvFlag("SNCUBE_PAPER")) return paper_n;
   const double scale = EnvDouble("SNCUBE_SCALE", 1.0);

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace sncube {
 
@@ -15,8 +14,6 @@ namespace sncube {
 double EnvDouble(const char* name, double fallback);
 std::int64_t EnvInt(const char* name, std::int64_t fallback);
 bool EnvFlag(const char* name);
-// Raw string value; fallback when unset or empty.
-std::string EnvStr(const char* name, const char* fallback);
 
 // Bench row-count helper: paper_n when SNCUBE_PAPER=1, otherwise
 // default_n * SNCUBE_SCALE.

@@ -22,11 +22,7 @@ void ChargeExecStats(Comm& comm, const ExecStats& es) {
   // pipeline sorts behind sort_cost_units ran on the rank's exec pool, so
   // their work is charged at span (work / threads_per_rank).
   comm.ChargeScanRecords(es.records_scanned + es.rows_emitted);
-  // Hash-built pipeline heads also ran on the pool: the table pass is
-  // embarrassingly parallel (striped locks), so its work divides by the
-  // thread count just like the sorts'.
-  comm.ChargeParallelCpu(es.sort_cost_units * comm.cost().cpu_sort_record_s +
-                         es.hash_cost_units * comm.cost().cpu_hash_record_s);
+  comm.ChargeParallelCpu(es.sort_cost_units * comm.cost().cpu_sort_record_s);
 }
 
 // True when `part` contains every view of the full-cube Di-partition for its
@@ -71,17 +67,10 @@ ScheduleTree BuildTreeLocally(Comm& comm, const std::vector<ViewId>& part,
         schema, static_cast<double>(global_rows));
   }
 
-  ScheduleTree tree =
-      IsFullPartition(part, root)
-          ? BuildPipesortTree(part, root, root_order, *estimator)
-          : BuildPartialTree(part, root, root_order, *estimator,
-                             opts.partial_strategy);
-  // Stamp each sort edge's engine now, while the estimator's rows are on
-  // the nodes. In global tree mode the choice rides the broadcast with the
-  // tree, so every rank executes rank 0's decisions.
-  ChooseBackends(tree, opts.backend,
-                 comm.cost().cpu_hash_record_s / comm.cost().cpu_sort_record_s);
-  return tree;
+  return IsFullPartition(part, root)
+             ? BuildPipesortTree(part, root, root_order, *estimator)
+             : BuildPartialTree(part, root, root_order, *estimator,
+                                opts.partial_strategy);
 }
 
 }  // namespace

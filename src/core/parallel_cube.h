@@ -21,7 +21,6 @@
 #include "core/merge_partitions.h"
 #include "net/comm.h"
 #include "relation/schema.h"
-#include "schedule/backend.h"
 #include "schedule/partial.h"
 #include "seqcube/cube_result.h"
 #include "seqcube/pipeline.h"
@@ -47,11 +46,6 @@ struct ParallelCubeOptions {
   TreeMode tree_mode = TreeMode::kGlobal;
   EstimatorKind estimator = EstimatorKind::kAnalytic;
   PartialStrategy partial_strategy = PartialStrategy::kPrunedPipesort;
-  // View-computation engine for schedule-tree sort edges: force sort (the
-  // paper's engine, the default), force hash (src/hashagg/), or cost-choose
-  // per edge from the tree's cardinality estimates (schedule/backend.h).
-  // Every mode produces byte-identical views.
-  BackendMode backend = BackendMode::kSort;
   int sample_capacity_factor = 100;
   bool force_case3 = false;  // ablation: disable the Case-2 overlap path
   // Checkpoint/restart (see core/checkpoint.h). When `checkpoint.dir` is

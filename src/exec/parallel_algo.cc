@@ -302,17 +302,6 @@ Relation ParallelMergeSortedRuns(const std::vector<Relation>& runs,
   return std::move(level.front());
 }
 
-void ParallelForAuto(std::size_t n, std::size_t grain,
-                     const std::function<void(std::size_t, std::size_t)>& body) {
-  if (n == 0) return;
-  TaskPool* pool = CurrentPool();
-  if (UseSerial(pool, n)) {
-    body(0, n);
-    return;
-  }
-  pool->ParallelFor(n, grain, body);
-}
-
 Relation SortRelationAuto(const Relation& rel, std::span<const int> cols) {
   TaskPool* pool = CurrentPool();
   if (pool == nullptr || pool->threads() <= 1) return SortRelation(rel, cols);

@@ -58,18 +58,6 @@ Relation SortRelationAuto(const Relation& rel, std::span<const int> cols);
 Relation MergeSortedRunsAuto(const std::vector<Relation>& runs,
                              std::span<const int> cols);
 
-// Parallel scan/aggregate primitive: runs `body(begin, end)` over disjoint
-// chunks of [0, n) on the installed pool, or as a single body(0, n) call
-// when no multi-threaded pool is installed, n is small, or the caller is
-// already on a worker thread (no nested fan-out). Chunk boundaries come
-// from TaskPool::ParallelFor, so they are a pure function of (n, grain,
-// threads); bodies whose per-chunk results are combined associatively and
-// commutatively (hashagg's Combine) therefore cannot observe the thread
-// count. Bodies run on worker threads and must not touch rank-confined
-// state (Comm, DiskModel) — charge cost from the rank thread afterwards.
-void ParallelForAuto(std::size_t n, std::size_t grain,
-                     const std::function<void(std::size_t, std::size_t)>& body);
-
 // Critical-path seconds of deterministic list scheduling: tasks are placed
 // in submission order, each on the currently least-loaded of `workers`
 // contexts (ties → lowest index). This is the span charged for parallel

@@ -28,16 +28,6 @@ struct CostParams {
   // CPU: seconds per record per comparison level; a sort of n records costs
   // cpu_sort_record_s * n * log2(n).
   double cpu_sort_record_s = 5.0e-7;
-  // CPU: seconds per record folded into the hash backend's concurrent
-  // table (hash + probe + striped-lock traffic). Calibrated at 6× the
-  // per-comparison sort constant — a LEDA-era hash insert costs about as
-  // much as six comparison levels of a sort — which puts the sort/hash
-  // crossover where "Global Hash Tables Strike Back!" finds it: hash wins
-  // an edge u→v exactly when the cardinality collapse pays for the table
-  // pass, 6·A_u + A_v·log2(A_v) < A_u·log2(A_u) (schedule/backend.h). On
-  // the bench sweeps this lands sort ahead on unskewed/sparse shapes and
-  // hash ahead on skewed/dense ones (bench/ablation_backend.cc).
-  double cpu_hash_record_s = 3.0e-6;
   // Disk: seconds per block transfer (8 KiB at ~16 MB/s incl. seeks).
   double disk_block_s = 5.0e-4;
   // Network: per-collective latency term (switch + MPI software overhead).

@@ -6,7 +6,7 @@
 // (sum/min/max: agg(base ∪ delta) = combine(agg(base), agg(delta))), a
 // refresh never re-scans the base facts: it cubes the (small) delta with the
 // very same Section 3 machinery the initial build used — partial schedule
-// tree over exactly the affected views, Pipesort/hash-aggregate per edge —
+// tree over exactly the affected views, Pipesort sort-and-scan per edge —
 // and then merges the delta cube into the base cube view by view with one
 // linear merge pass per view.
 //

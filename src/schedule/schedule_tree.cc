@@ -180,7 +180,6 @@ ByteBuffer ScheduleTree::Serialize() const {
     WirePut(buf, static_cast<std::uint8_t>(n.edge));
     WirePut(buf, static_cast<std::uint8_t>(n.selected ? 1 : 0));
     WirePut(buf, static_cast<std::uint8_t>(n.order_fixed ? 1 : 0));
-    WirePut(buf, static_cast<std::uint8_t>(n.backend));
     WirePut(buf, n.est_rows);
     std::vector<std::uint8_t> order(n.order.begin(), n.order.end());
     WirePutVector(buf, order);
@@ -200,11 +199,6 @@ ScheduleTree ScheduleTree::Deserialize(const ByteBuffer& bytes) {
     n.edge = static_cast<EdgeKind>(r.Get<std::uint8_t>());
     n.selected = r.Get<std::uint8_t>() != 0;
     n.order_fixed = r.Get<std::uint8_t>() != 0;
-    const auto backend = r.Get<std::uint8_t>();
-    if (backend > static_cast<std::uint8_t>(EdgeBackend::kHash)) {
-      throw SncubeCorruptionError("schedule tree: backend out of range");
-    }
-    n.backend = static_cast<EdgeBackend>(backend);
     n.est_rows = r.Get<double>();
     const auto order = r.GetVector<std::uint8_t>();
     n.order.assign(order.begin(), order.end());

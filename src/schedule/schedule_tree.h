@@ -32,13 +32,6 @@ namespace sncube {
 
 enum class EdgeKind : std::uint8_t { kRoot, kScan, kSort };
 
-// Engine that materializes the head of a kSort edge: re-sort the parent
-// (kSort — the paper's only engine) or hash-aggregate it into the child's
-// order (kHash — one unordered pass plus a sort of the distinct groups).
-// Chosen per edge by ChooseBackends (schedule/backend.h); ignored on root
-// and scan edges. Both engines produce byte-identical views (DESIGN.md §13).
-enum class EdgeBackend : std::uint8_t { kSort, kHash };
-
 struct ScheduleNode {
   ViewId view;
   // Sort order: global dimension indices, a permutation of view.DimList().
@@ -54,8 +47,6 @@ struct ScheduleNode {
   // rather than chosen freely by the builder.
   bool order_fixed = false;
   double est_rows = 0;
-  // Engine for this node's incoming kSort edge (see EdgeBackend).
-  EdgeBackend backend = EdgeBackend::kSort;
 };
 
 class ScheduleTree {
@@ -80,9 +71,6 @@ class ScheduleTree {
   int size() const { return static_cast<int>(nodes_.size()); }
   const ScheduleNode& node(int i) const { return nodes_.at(i); }
 
-  // Stamps node i's incoming-edge engine (ChooseBackends and tests; the
-  // builders always start from the kSort default).
-  void SetBackend(int i, EdgeBackend backend) { nodes_.at(i).backend = backend; }
   static constexpr int kRootIndex = 0;
   const ScheduleNode& root() const { return nodes_.at(0); }
 

@@ -1,12 +1,10 @@
 #include "seqcube/pipeline.h"
 
 #include <cmath>
-#include <numeric>
 #include <vector>
 
 #include "common/status.h"
 #include "exec/parallel_algo.h"
-#include "hashagg/hash_agg.h"
 #include "io/external_sort.h"
 #include "obs/trace.h"
 #include "relation/sort.h"
@@ -178,30 +176,6 @@ CubeResult ExecuteScheduleTree(const ScheduleTree& tree, Relation root_data,
     // Sort the parent by the pipeline head's order (only those columns
     // matter; deeper chain prefixes are prefixes of the same order).
     const std::vector<int> sort_cols = ColumnsOf(parent.view, n.order);
-    if (n.backend == EdgeBackend::kHash) {
-      // Hash engine: one unordered pass over the parent builds the head
-      // directly (hashagg sorts the distinct groups into the head's order),
-      // so EmitChain sees an already-aggregated source — every row is its
-      // own group and is re-emitted unchanged, then the scan chain falls
-      // out exactly as it would from the sorted parent. The hash pass and
-      // the EmitChain scan both run over parallel/pool-aware primitives or
-      // charge-accounted scans, so sim costs stay honest.
-      if (disk != nullptr) disk->ChargeRead(parent_rel.ByteSize());
-      hashagg::HashAggStats hs;
-      const Relation head = hashagg::HashAggregate(parent_rel, sort_cols, fn, &hs);
-      if (stats != nullptr) {
-        stats->hash_aggs += 1;
-        stats->hash_cost_units += static_cast<double>(hs.rows_hashed);
-        const auto groups = static_cast<double>(hs.groups);
-        stats->sort_cost_units += groups * std::log2(std::max(groups, 2.0));
-      }
-      std::vector<int> head_cols(static_cast<std::size_t>(head.width()));
-      std::iota(head_cols.begin(), head_cols.end(), 0);
-      EmitChain(tree, head, head_cols, i, /*include_head=*/true, fn, disk,
-                stats, result);
-      charge_pipeline(before);
-      continue;
-    }
     // Both paths dispatch to the rank's exec pool when one is installed
     // (exec::CurrentPool()); the EmitChain scan below stays serial — its
     // group-carry across rows is a genuine sequential dependency.

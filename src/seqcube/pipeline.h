@@ -24,23 +24,16 @@ struct ExecStats {
   std::uint64_t rows_emitted = 0;     // rows written across all views
   std::uint64_t sorts = 0;            // pipeline-head sorts performed
   std::uint64_t scans = 0;            // pipeline scan passes
-  std::uint64_t hash_aggs = 0;        // pipeline heads built by hashagg
   // Σ n·log2(max(n,2)) over all sorts — multiply by the CPU sort constant
-  // to get simulated seconds. Hash-built heads contribute their group sort
-  // (g·log2 g) here and their linear table pass to hash_cost_units.
+  // to get simulated seconds.
   double sort_cost_units = 0;
-  // Σ parent rows over all hash aggregations — multiply by the CPU hash
-  // constant (CostParams::cpu_hash_record_s) to get simulated seconds.
-  double hash_cost_units = 0;
 
   ExecStats& operator+=(const ExecStats& o) {
     records_scanned += o.records_scanned;
     rows_emitted += o.rows_emitted;
     sorts += o.sorts;
     scans += o.scans;
-    hash_aggs += o.hash_aggs;
     sort_cost_units += o.sort_cost_units;
-    hash_cost_units += o.hash_cost_units;
     return *this;
   }
 
@@ -49,9 +42,7 @@ struct ExecStats {
     rows_emitted -= o.rows_emitted;
     sorts -= o.sorts;
     scans -= o.scans;
-    hash_aggs -= o.hash_aggs;
     sort_cost_units -= o.sort_cost_units;
-    hash_cost_units -= o.hash_cost_units;
     return *this;
   }
 };

@@ -117,27 +117,18 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Backend byte-identity: for every (--backend, --threads-per-rank) pair the
-// cube must equal the sort-backend single-thread baseline view-for-view,
-// byte-for-byte — the contract that makes the engine choice a pure
-// performance knob (DESIGN.md §13).
+// Thread byte-identity: at every --threads-per-rank the cube must equal the
+// single-thread baseline view-for-view, byte-for-byte — the contract that
+// makes the per-rank exec pool a pure performance knob.
 
-struct BackendCase {
-  BackendMode backend;
-  int threads;
-};
-
-std::vector<CubeResult> BuildBackendShards(BackendMode backend, int threads) {
+std::vector<CubeResult> BuildThreadShards(int threads) {
   DatasetSpec spec;
   spec.rows = 2500;
   spec.cardinalities = {24, 10, 6, 4};
-  spec.alphas = {2.0, 1.0, 0.0, 0.0};  // skewed: hash and sort edges mix
+  spec.alphas = {2.0, 1.0, 0.0, 0.0};
   spec.seed = 9100;
   const Schema schema = spec.MakeSchema();
   const auto selected = AllViews(4);
-
-  ParallelCubeOptions opts;
-  opts.backend = backend;
 
   constexpr int kP = 2;
   Cluster cluster(kP);
@@ -146,20 +137,18 @@ std::vector<CubeResult> BuildBackendShards(BackendMode backend, int threads) {
   std::mutex mu;
   cluster.Run([&](Comm& comm) {
     const Relation raw = GenerateSlice(spec, kP, comm.rank());
-    CubeResult cube = BuildParallelCube(comm, raw, schema, selected, opts);
+    CubeResult cube = BuildParallelCube(comm, raw, schema, selected);
     std::lock_guard<std::mutex> lock(mu);
     shards[static_cast<std::size_t>(comm.rank())] = std::move(cube);
   });
   return shards;
 }
 
-class BackendIdentityProperty : public ::testing::TestWithParam<BackendCase> {
-};
+class ThreadIdentityProperty : public ::testing::TestWithParam<int> {};
 
-TEST_P(BackendIdentityProperty, BytesMatchSortSerialBaseline) {
-  const BackendCase c = GetParam();
-  const auto base = BuildBackendShards(BackendMode::kSort, 1);
-  const auto got = BuildBackendShards(c.backend, c.threads);
+TEST_P(ThreadIdentityProperty, BytesMatchSerialBaseline) {
+  const auto base = BuildThreadShards(1);
+  const auto got = BuildThreadShards(GetParam());
   ASSERT_EQ(got.size(), base.size());
   for (std::size_t r = 0; r < base.size(); ++r) {
     ASSERT_EQ(got[r].views.size(), base[r].views.size()) << "rank " << r;
@@ -172,18 +161,10 @@ TEST_P(BackendIdentityProperty, BytesMatchSortSerialBaseline) {
   }
 }
 
-// A static table for stable ctest names, as kCubeCases above.
-constexpr BackendCase kBackendCases[] = {
-    {BackendMode::kSort, 1}, {BackendMode::kSort, 2}, {BackendMode::kSort, 4},
-    {BackendMode::kHash, 1}, {BackendMode::kHash, 2}, {BackendMode::kHash, 4},
-    {BackendMode::kAuto, 1}, {BackendMode::kAuto, 2}, {BackendMode::kAuto, 4},
-};
-
 INSTANTIATE_TEST_SUITE_P(
-    Grid, BackendIdentityProperty, ::testing::ValuesIn(kBackendCases),
-    [](const ::testing::TestParamInfo<BackendCase>& info) {
-      return std::string(BackendModeName(info.param.backend)) + "_t" +
-             std::to_string(info.param.threads);
+    Grid, ThreadIdentityProperty, ::testing::Values(1, 2, 4),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return "t" + std::to_string(info.param);
     });
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 #include <set>
 #include <utility>
 
 #include "common/rng.h"
 #include "lattice/lattice.h"
-#include "schedule/backend.h"
 #include "schedule/matching.h"
 #include "schedule/partial.h"
 #include "schedule/pipesort.h"
@@ -131,6 +129,7 @@ TEST(ScheduleTree, BuildValidateRoundTrip) {
     EXPECT_EQ(back.node(i).edge, tree.node(i).edge);
     EXPECT_EQ(back.node(i).order, tree.node(i).order);
     EXPECT_EQ(back.node(i).selected, tree.node(i).selected);
+    EXPECT_EQ(back.node(i).order_fixed, tree.node(i).order_fixed);
     EXPECT_DOUBLE_EQ(back.node(i).est_rows, tree.node(i).est_rows);
   }
 }
@@ -397,134 +396,6 @@ TEST(Partial, FullSelectionEqualsPipesortCost) {
       parts[0], root, root.DimList(), est, PartialStrategy::kPrunedPipesort);
   EXPECT_DOUBLE_EQ(full.EstimatedCost(), pruned.EstimatedCost());
   EXPECT_EQ(full.size(), pruned.size());
-}
-
-// ---------------------------------------------------------------------------
-// Backend selection (schedule/backend.h).
-
-// Default CostParams ratio: cpu_hash_record_s / cpu_sort_record_s.
-constexpr double kHashRatio = 6.0;
-
-// Pinned estimator fixture: exact per-view row counts, so the auto
-// cost-choice below is checkable arithmetic rather than estimator modeling.
-class PinnedEstimator final : public ViewSizeEstimator {
- public:
-  explicit PinnedEstimator(std::map<ViewId, double> rows)
-      : rows_(std::move(rows)) {}
-  double EstimateRows(ViewId v) const override { return rows_.at(v); }
-
- private:
-  std::map<ViewId, double> rows_;
-};
-
-TEST(Backend, ParseAndNameRoundTrip) {
-  EXPECT_EQ(ParseBackendMode("sort"), BackendMode::kSort);
-  EXPECT_EQ(ParseBackendMode("hash"), BackendMode::kHash);
-  EXPECT_EQ(ParseBackendMode("auto"), BackendMode::kAuto);
-  EXPECT_FALSE(ParseBackendMode("Sort").has_value());
-  EXPECT_FALSE(ParseBackendMode("").has_value());
-  for (auto m : {BackendMode::kSort, BackendMode::kHash, BackendMode::kAuto}) {
-    EXPECT_EQ(ParseBackendMode(BackendModeName(m)), m);
-  }
-}
-
-TEST(Backend, CostModelCrossover) {
-  // High-reduction edge (100000 rows → 100 groups): the linear hash pass
-  // plus a tiny group sort beats re-sorting the whole parent. Low-reduction
-  // edge (→ 90000 groups): the hash pass is pure overhead.
-  EXPECT_LT(HashBackendCost(100000, 100, kHashRatio), SortBackendCost(100000));
-  EXPECT_GT(HashBackendCost(100000, 90000, kHashRatio),
-            SortBackendCost(100000));
-  // Zero reduction is a guaranteed loss: r·n + S(n) > S(n).
-  EXPECT_GT(HashBackendCost(5000, 5000, kHashRatio), SortBackendCost(5000));
-}
-
-TEST(Backend, AutoPicksPerEdgeFromPinnedEstimates) {
-  // Hand-checkable with the pinned rows (S(n) = n·log2 n):
-  //   ab: 6·1e5 + 100·log2(100)   ≈ 6.0e5 < S(1e5) ≈ 1.66e6  → hash
-  //   ac: 6·1e5 + 9e4·log2(9e4)   ≈ 2.08e6 > S(1e5)          → sort
-  const ViewId abc = ViewId::Full(3);
-  const ViewId ab = ViewId::FromDims({0, 1});
-  const ViewId ac = ViewId::FromDims({0, 2});
-  const ViewId a = ViewId::FromDims({0});
-  const PinnedEstimator est(
-      {{abc, 100000.0}, {ab, 100.0}, {ac, 90000.0}, {a, 50.0}});
-
-  ScheduleTree tree;
-  tree.AddRoot(abc, abc.DimList(), est.EstimateRows(abc));
-  const int scan = tree.AddChild(0, a, EdgeKind::kScan, est.EstimateRows(a));
-  const int hi = tree.AddChild(0, ab, EdgeKind::kSort, est.EstimateRows(ab));
-  const int lo = tree.AddChild(0, ac, EdgeKind::kSort, est.EstimateRows(ac));
-  tree.ResolveOrders();
-  tree.Validate();
-
-  ChooseBackends(tree, BackendMode::kAuto, kHashRatio);
-  EXPECT_EQ(tree.node(hi).backend, EdgeBackend::kHash);
-  EXPECT_EQ(tree.node(lo).backend, EdgeBackend::kSort);
-  // Root and scan edges have no sort to replace; they are always kSort.
-  EXPECT_EQ(tree.node(0).backend, EdgeBackend::kSort);
-  EXPECT_EQ(tree.node(scan).backend, EdgeBackend::kSort);
-}
-
-TEST(Backend, ForceModesStampEverySortEdge) {
-  const ViewId abc = ViewId::Full(3);
-  ScheduleTree tree;
-  tree.AddRoot(abc, abc.DimList(), 1000.0);
-  const int scan = tree.AddChild(0, ViewId::FromDims({0, 1}),
-                                 EdgeKind::kScan, 900.0);
-  const int s1 = tree.AddChild(0, ViewId::FromDims({0, 2}),
-                               EdgeKind::kSort, 800.0);
-  const int s2 = tree.AddChild(0, ViewId::FromDims({1, 2}),
-                               EdgeKind::kSort, 2.0);
-  tree.ResolveOrders();
-  tree.Validate();
-
-  ChooseBackends(tree, BackendMode::kHash, kHashRatio);
-  EXPECT_EQ(tree.node(s1).backend, EdgeBackend::kHash);
-  EXPECT_EQ(tree.node(s2).backend, EdgeBackend::kHash);
-  EXPECT_EQ(tree.node(0).backend, EdgeBackend::kSort);
-  EXPECT_EQ(tree.node(scan).backend, EdgeBackend::kSort);
-
-  // Forcing sort resets every edge, including previously hash-stamped ones.
-  ChooseBackends(tree, BackendMode::kSort, kHashRatio);
-  for (int i = 0; i < tree.size(); ++i) {
-    EXPECT_EQ(tree.node(i).backend, EdgeBackend::kSort) << "node " << i;
-  }
-}
-
-TEST(Backend, SurvivesSerializeRoundTrip) {
-  const ViewId abcd = ViewId::Full(4);
-  ScheduleTree tree;
-  tree.AddRoot(abcd, abcd.DimList(), 1000.0);
-  const int acd = tree.AddChild(0, ViewId::FromDims({0, 2, 3}),
-                                EdgeKind::kSort, 400.0);
-  const int bcd = tree.AddChild(0, ViewId::FromDims({1, 2, 3}),
-                                EdgeKind::kSort, 300.0);
-  tree.ResolveOrders();
-  tree.Validate();
-  tree.SetBackend(acd, EdgeBackend::kHash);
-
-  const ByteBuffer bytes = tree.Serialize();
-  const ScheduleTree back = ScheduleTree::Deserialize(bytes);
-  back.Validate();
-  EXPECT_EQ(back.node(acd).backend, EdgeBackend::kHash);
-  EXPECT_EQ(back.node(bcd).backend, EdgeBackend::kSort);
-  for (int i = 0; i < tree.size(); ++i) {
-    EXPECT_EQ(back.node(i).backend, tree.node(i).backend) << "node " << i;
-  }
-}
-
-TEST(Backend, DeserializeRejectsOutOfRangeBackend) {
-  const ViewId abc = ViewId::Full(3);
-  ScheduleTree tree;
-  tree.AddRoot(abc, abc.DimList(), 10.0);
-  tree.ResolveOrders();
-  tree.Validate();
-  ByteBuffer bytes = tree.Serialize();
-  // Node 0's backend byte sits after count(u32) + mask(u32) + parent(i32) +
-  // edge(u8) + selected(u8) + order_fixed(u8) = offset 15.
-  bytes[15] = std::byte{7};
-  EXPECT_THROW(ScheduleTree::Deserialize(bytes), SncubeCorruptionError);
 }
 
 }  // namespace

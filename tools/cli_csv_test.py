@@ -13,6 +13,9 @@
    byte-identical to `--procs 1`, manifest included, full and partial.
 5. `query --where`/`--top` reject malformed numbers with a usage error
    (exit 2), and a format-1 manifest is refused with a hint to rebuild.
+   Unknown flags (`query --wher`, `build --backend`/`--proc`) and
+   malformed or out-of-range `build` numbers are usage errors too, with
+   nothing on stdout and no cube directory written.
 6. `refresh --snapshot-dir` commits epochs 1 and 2, each with one snapshot
    file per view of the cube's index, while the view-by-view rewrite of
    the cube directory still answers right.
@@ -155,6 +158,40 @@ def check_query_flags(binary, cube):
         raise AssertionError("--top 1 did not keep one group")
 
 
+def check_usage_errors(binary, tmp, cube):
+    """Each call must exit 2 with an error line naming the flag (the help
+    text that follows it names every flag), print nothing on stdout and
+    write no cube directory."""
+    facts, out_dir = tmp / "facts.csv", tmp / "refused_cube"
+    build = ["build", "--in", facts, "--out", out_dir]
+    calls = [(["query", "--cube", cube, "--group-by", "D0", "--wher", "D1=1"],
+              "--wher"),
+             (["info", "--cube", cube, "--json"], "--json"),
+             (build + ["--backend", "hash"], "--backend"),
+             (build + ["--proc", "2"], "--proc"),
+             (build + ["--views", "2", "--fraction", "0.5"], "--views")]
+    # facts.csv has d = 2, so --views is at most 4.
+    for flag, value in (("--procs", "2x"), ("--procs", "0"), ("--procs", ""),
+                        ("--threads-per-rank", "2junk"),
+                        ("--threads-per-rank", "0"), ("--views", "5x"),
+                        ("--views", "-3"), ("--views", "0"),
+                        ("--views", "5"), ("--fraction", "0.5x"),
+                        ("--fraction", "0"), ("--fraction", "1.5"),
+                        ("--fraction", "nan"), ("--gamma", "abc"),
+                        ("--gamma", "-0.1"), ("--gamma", "inf")):
+        calls.append((build + [flag, value], flag))
+    for argv, flag in calls:
+        out = run(binary, *argv)
+        error_line = (out.stderr.splitlines() or [""])[0]
+        if out.returncode != 2 or flag not in error_line or out.stdout or \
+                out_dir.exists():
+            raise AssertionError(f"{argv[0]} {flag}: exit {out.returncode}, "
+                                 f"stdout {out.stdout[:80]!r}, stderr "
+                                 f"{out.stderr[:120]!r}, cube written "
+                                 f"{out_dir.exists()} (expected a usage "
+                                 f"error naming {flag})")
+
+
 def check_format1_refused(binary, cube):
     (cube / "manifest.txt").write_text("sncube-manifest 1\n2\nD1 10\nD0 2\n")
     for argv in (["query", "--cube", cube, "--group-by", "D0"],
@@ -202,6 +239,7 @@ def main():
         check_parallel_builds_identical(binary, tmp)
         check_refresh_snapshots(binary, tmp)
         check_query_flags(binary, tmp / "cube_crlf")
+        check_usage_errors(binary, tmp, tmp / "cube_crlf")
         check_format1_refused(binary, tmp / "cube_crlf")
     print("cli_csv_test: ok")
     return 0

@@ -23,6 +23,7 @@
 #include <atomic>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,7 +43,6 @@
 #include "chaos/explorer.h"
 #include "chaos/refresh_chaos.h"
 #include "chaos/serve_chaos.h"
-#include "common/env.h"
 #include "common/timer.h"
 #include "core/parallel_cube.h"
 #include "data/generator.h"
@@ -90,6 +90,8 @@ constexpr const char* kHelpText =
     "  chaos      randomized fault-injection search with plan shrinking\n"
     "  help       print this text\n"
     "\n"
+    "A flag not listed for its command is a usage error (exit 2).\n"
+    "\n"
     "sncube generate --rows N --cards C0,C1,... --out facts.csv\n"
     "  --rows N           number of fact rows\n"
     "  --cards C0,C1,...  per-dimension cardinalities (defines dimensionality)\n"
@@ -103,10 +105,6 @@ constexpr const char* kHelpText =
     "  --procs P            simulated processors (default 1 = sequential)\n"
     "  --threads-per-rank W intra-rank worker threads per simulated processor\n"
     "                       (default 1 = serial; cube bytes identical for any W)\n"
-    "  --backend MODE       view-computation engine for schedule-tree sort\n"
-    "                       edges: sort (default), hash, or auto = cost-choose\n"
-    "                       per edge; cube bytes identical for every MODE\n"
-    "                       (env fallback: SNCUBE_BACKEND)\n"
     "  --views N            build only the N greedy-selected views\n"
     "  --fraction F         build the greedy-selected fraction F of views\n"
     "  --gamma G            merge threshold gamma (Merge-Partitions case 3)\n"
@@ -211,19 +209,33 @@ constexpr const char* kHelpText =
   std::exit(2);
 }
 
-// Minimal flag parser: --name value pairs plus boolean switches.
+// The flags one command reads: `values` take an argument, `switches` do
+// not. A flag outside both lists is a usage error.
+struct FlagSpec {
+  std::vector<std::string> values;
+  std::vector<std::string> switches;
+};
+
+// Minimal flag parser: --name value pairs plus boolean switches, checked
+// against the command's FlagSpec before the command runs.
 class Args {
  public:
-  Args(int argc, char** argv, const std::vector<std::string>& switches) {
+  Args(const std::string& cmd, int argc, char** argv, const FlagSpec& spec) {
+    const auto declared = [](const std::vector<std::string>& names,
+                             const std::string& name) {
+      return std::find(names.begin(), names.end(), name) != names.end();
+    };
     for (int i = 0; i < argc; ++i) {
       std::string a = argv[i];
       if (a.rfind("--", 0) != 0) Usage(("unexpected argument: " + a).c_str());
       a = a.substr(2);
-      if (std::find(switches.begin(), switches.end(), a) != switches.end()) {
+      if (declared(spec.switches, a)) {
         values_[a] = "1";
-      } else {
+      } else if (declared(spec.values, a)) {
         if (i + 1 >= argc) Usage(("missing value for --" + a).c_str());
         values_[a] = argv[++i];
+      } else {
+        Usage(("unknown flag for " + cmd + ": --" + a).c_str());
       }
     }
   }
@@ -259,6 +271,37 @@ int DimIndexByName(const Schema& schema, const std::string& name) {
   Usage(("unknown dimension: " + name).c_str());
 }
 
+// Parses a whole flag value as an unsigned decimal from `min` to `max`;
+// empty, negative, out-of-range and trailing-garbage values are usage
+// errors.
+template <typename T>
+T ParseFlagNumber(const std::string& flag, const std::string& text,
+                  T min = 0, T max = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || value < min ||
+      value > max) {
+    Usage((flag + " expects an integer from " + std::to_string(min) +
+           " to " + std::to_string(max) + ", got \"" + text + "\"")
+              .c_str());
+  }
+  return value;
+}
+
+// Parses a whole flag value as a finite decimal number; anything else is a
+// usage error. Callers check the range.
+double ParseFlagReal(const std::string& flag, const std::string& text) {
+  double value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end ||
+      !std::isfinite(value)) {
+    Usage((flag + " expects a number, got \"" + text + "\"").c_str());
+  }
+  return value;
+}
+
 int CmdGenerate(const Args& args) {
   DatasetSpec spec;
   spec.rows = std::atoll(args.Require("rows").c_str());
@@ -286,6 +329,49 @@ int CmdGenerate(const Args& args) {
 }
 
 int CmdBuild(const Args& args) {
+  // Options are checked before the input is read; only --views' upper
+  // bound, 2^d, waits for d.
+  constexpr std::uint32_t kIntMax = std::numeric_limits<int>::max();
+  const auto p = static_cast<int>(ParseFlagNumber<std::uint32_t>(
+      "--procs", args.Get("procs").value_or("1"), 1, kIntMax));
+  const auto threads_per_rank = static_cast<int>(ParseFlagNumber<std::uint32_t>(
+      "--threads-per-rank", args.Get("threads-per-rank").value_or("1"), 1,
+      kIntMax));
+  if (args.Has("views") && args.Has("fraction")) {
+    Usage("--views and --fraction are exclusive");
+  }
+  std::optional<double> fraction;
+  if (const auto text = args.Get("fraction")) {
+    fraction = ParseFlagReal("--fraction", *text);
+    if (!(*fraction > 0 && *fraction <= 1)) {
+      Usage("--fraction must be in (0, 1]");
+    }
+  }
+  ParallelCubeOptions opts;
+  if (const auto text = args.Get("gamma")) {
+    opts.gamma_merge = ParseFlagReal("--gamma", *text);
+    if (opts.gamma_merge < 0) Usage("--gamma must be >= 0");
+  }
+  if (args.Has("local-trees")) {
+    opts.tree_mode = TreeMode::kLocal;
+    opts.estimator = EstimatorKind::kFm;
+  }
+  const auto checkpoint_dir = args.Get("checkpoint-dir");
+  const auto fault_spec = args.Get("fault-plan");
+  if ((checkpoint_dir || fault_spec) && p == 1) {
+    Usage("--checkpoint-dir/--fault-plan require --procs >= 2");
+  }
+  if (checkpoint_dir) opts.checkpoint.dir = *checkpoint_dir;
+  FaultPlan fault_plan;
+  if (fault_spec) {
+    try {
+      fault_plan = FaultPlan::Parse(*fault_spec);
+    } catch (const SncubeError& e) {
+      Usage(e.what());
+    }
+  }
+  const std::string out = args.Require("out");
+
   const std::string in = args.Require("in");
   std::ifstream is(in);
   if (!is.good()) Usage(("cannot read " + in).c_str());
@@ -320,45 +406,14 @@ int CmdBuild(const Args& args) {
   const AnalyticEstimator est(schema, static_cast<double>(raw.size()));
   std::vector<ViewId> selected;
   if (const auto count = args.Get("views")) {
-    selected = GreedySelectViews(d, std::atoi(count->c_str()), est);
-  } else if (const auto fraction = args.Get("fraction")) {
-    selected = GreedySelectFraction(d, std::stod(*fraction), est);
+    // The lattice refuses d > kMaxDims; the clamp keeps the shift defined.
+    const std::uint32_t all = 1u << std::min(d, ViewId::kMaxDims);
+    selected = GreedySelectViews(
+        d, static_cast<int>(ParseFlagNumber("--views", *count, 1u, all)), est);
+  } else if (fraction) {
+    selected = GreedySelectFraction(d, *fraction, est);
   } else {
     selected = AllViews(d);
-  }
-
-  const int p = std::atoi(args.Get("procs").value_or("1").c_str());
-  if (p < 1) Usage("--procs must be >= 1");
-  const int threads_per_rank =
-      std::atoi(args.Get("threads-per-rank").value_or("1").c_str());
-  if (threads_per_rank < 1) Usage("--threads-per-rank must be >= 1");
-  ParallelCubeOptions opts;
-  {
-    // Flag wins over the SNCUBE_BACKEND env knob; both default to sort.
-    const std::string mode =
-        args.Get("backend").value_or(EnvStr("SNCUBE_BACKEND", "sort"));
-    const auto parsed = ParseBackendMode(mode);
-    if (!parsed) Usage("--backend/SNCUBE_BACKEND must be sort, hash or auto");
-    opts.backend = *parsed;
-  }
-  if (const auto gamma = args.Get("gamma")) opts.gamma_merge = std::stod(*gamma);
-  if (args.Has("local-trees")) {
-    opts.tree_mode = TreeMode::kLocal;
-    opts.estimator = EstimatorKind::kFm;
-  }
-  const auto checkpoint_dir = args.Get("checkpoint-dir");
-  const auto fault_spec = args.Get("fault-plan");
-  if ((checkpoint_dir || fault_spec) && p == 1) {
-    Usage("--checkpoint-dir/--fault-plan require --procs >= 2");
-  }
-  if (checkpoint_dir) opts.checkpoint.dir = *checkpoint_dir;
-  FaultPlan fault_plan;
-  if (fault_spec) {
-    try {
-      fault_plan = FaultPlan::Parse(*fault_spec);
-    } catch (const SncubeError& e) {
-      Usage(e.what());
-    }
   }
 
   const auto trace_out = args.Get("trace-out");
@@ -370,13 +425,9 @@ int CmdBuild(const Args& args) {
   // also takes the cluster path.
   const bool traced = trace_out.has_value() || summary_out.has_value();
 
-  const std::string out = args.Require("out");
   WallTimer timer;
   std::uint64_t rows_total = 0;
-  // The sequential fast path only implements the sort engine; hash/auto
-  // builds run as a 1-rank cluster, which produces identical bytes.
-  if (p == 1 && !traced && threads_per_rank == 1 &&
-      opts.backend == BackendMode::kSort) {
+  if (p == 1 && !traced && threads_per_rank == 1) {
     const CubeResult cube = SequentialCube(raw, schema, selected);
     ViewStore store(out);
     // Drop auxiliaries when persisting.
@@ -462,23 +513,6 @@ int CmdInfo(const Args& args) {
   return 0;
 }
 
-// Parses a whole flag value as an unsigned decimal no larger than `max`;
-// empty, negative, out-of-range and trailing-garbage values are usage
-// errors.
-template <typename T>
-T ParseFlagNumber(const std::string& flag, const std::string& text,
-                  T max = std::numeric_limits<T>::max()) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc() || ptr != end || value > max) {
-    Usage((flag + " expects an integer from 0 to " + std::to_string(max) +
-           ", got \"" + text + "\"")
-              .c_str());
-  }
-  return value;
-}
-
 // Appends an answer's rows: keys then measure, comma-separated, each row a
 // JSON array (comma-joined) or a text line.
 void AppendRows(std::string& out, const Relation& rel, bool json) {
@@ -523,7 +557,7 @@ int CmdQuery(const Args& args) {
   if (args.Has("max")) q.fn = AggFn::kMax;
   if (const auto top = args.Get("top")) {
     q.top_k = static_cast<int>(ParseFlagNumber<std::uint32_t>(
-        "--top", *top, std::numeric_limits<int>::max()));
+        "--top", *top, 0, std::numeric_limits<int>::max()));
   }
 
   // Route on the index, then load only the routed view and answer from it.
@@ -981,20 +1015,46 @@ int main(int argc, char** argv) {
     std::fputs(kHelpText, stdout);
     return 0;
   }
-  try {
-    const Args args(argc - 2, argv + 2,
-                    {"local-trees", "min", "max", "json", "bench", "verbose",
-                     "serve", "refresh"});
-    if (cmd == "generate") return CmdGenerate(args);
-    if (cmd == "build") return CmdBuild(args);
-    if (cmd == "info") return CmdInfo(args);
-    if (cmd == "query") return CmdQuery(args);
-    if (cmd == "refresh") return CmdRefresh(args);
-    if (cmd == "serve") return CmdServe(args);
-    if (cmd == "chaos") return CmdChaos(args);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+  // Each command with the flags it reads (kHelpText documents them).
+  struct Command {
+    const char* name;
+    int (*run)(const Args&);
+    FlagSpec flags;
+  };
+  const Command commands[] = {
+      {"generate", CmdGenerate, {{"rows", "cards", "alphas", "seed", "out"}, {}}},
+      {"build",
+       CmdBuild,
+       {{"in", "out", "procs", "threads-per-rank", "views", "fraction",
+         "gamma", "checkpoint-dir", "fault-plan", "trace-out", "summary-out"},
+        {"local-trees"}}},
+      {"info", CmdInfo, {{"cube"}, {}}},
+      {"query",
+       CmdQuery,
+       {{"cube", "group-by", "where", "top", "trace-out"},
+        {"min", "max", "json"}}},
+      {"refresh", CmdRefresh, {{"cube", "delta", "snapshot-dir"}, {}}},
+      {"serve",
+       CmdServe,
+       {{"cube", "workers", "clients", "queries", "queue-depth", "cache-mb",
+         "alpha", "seed", "trace-out", "summary-out", "shards", "fault-plan",
+         "per-try-ms", "retries", "hedge-ms", "breaker-failures",
+         "breaker-cooldown-ms", "refresh-every", "refresh-rows",
+         "snapshot-dir"},
+        {"bench"}}},
+      {"chaos",
+       CmdChaos,
+       {{"plans", "seed", "procs", "rows", "fail-out", "shards", "requests"},
+        {"verbose", "serve", "refresh"}}},
+  };
+  for (const Command& c : commands) {
+    if (cmd != c.name) continue;
+    try {
+      return c.run(Args(cmd, argc - 2, argv + 2, c.flags));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
   }
   Usage(("unknown command: " + cmd).c_str());
 }
