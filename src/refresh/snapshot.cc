@@ -11,59 +11,23 @@
 
 #include "common/status.h"
 #include "io/checked_file.h"
-#include "net/wire.h"
+#include "seqcube/view_frame.h"
 
 namespace sncube {
 namespace {
 
-constexpr std::uint32_t kSnapMagic = 0x534E5253;  // "SNRS"
-constexpr std::uint32_t kSnapVersion = 1;
-
-ByteBuffer SerializeSnapshotView(std::uint64_t epoch, const ViewResult& vr) {
-  ByteBuffer buf;
-  WirePut(buf, kSnapMagic);
-  WirePut(buf, kSnapVersion);
-  WirePut(buf, epoch);
-  WirePut(buf, vr.id.mask());
-  WirePut(buf, static_cast<std::uint8_t>(vr.selected ? 1 : 0));
-  WirePutVector(buf,
-                std::vector<std::uint8_t>(vr.order.begin(), vr.order.end()));
-  WirePut(buf, static_cast<std::uint64_t>(vr.rel.size()));
-  SerializeRows(vr.rel, 0, vr.rel.size(), buf);
-  return buf;
-}
-
-ViewResult ParseSnapshotView(const ByteBuffer& bytes, std::uint64_t epoch,
-                             ViewId expect_id) {
-  WireReader reader(bytes);
-  if (reader.Get<std::uint32_t>() != kSnapMagic) {
-    throw SncubeCorruptionError("snapshot view: bad magic");
-  }
-  if (reader.Get<std::uint32_t>() != kSnapVersion) {
-    throw SncubeCorruptionError("snapshot view: unsupported version");
-  }
-  if (reader.Get<std::uint64_t>() != epoch) {
+// Decodes one epoch view frame and checks it is the view and epoch its
+// path names.
+ViewResult DecodeEpochView(const ByteBuffer& bytes, std::uint64_t epoch,
+                           ViewId expect_id) {
+  ViewFrame frame = DecodeViewFrame(bytes);
+  if (frame.epoch != epoch) {
     throw SncubeCorruptionError("snapshot view: wrong epoch");
   }
-  ViewResult vr;
-  vr.id = ViewId(reader.Get<std::uint32_t>());
-  if (vr.id != expect_id) {
+  if (frame.view.id != expect_id) {
     throw SncubeCorruptionError("snapshot view: mask disagrees with name");
   }
-  vr.selected = reader.Get<std::uint8_t>() != 0;
-  const auto order = reader.GetVector<std::uint8_t>();
-  vr.order.assign(order.begin(), order.end());
-  const auto rows = reader.Get<std::uint64_t>();
-  vr.rel = Relation(vr.id.dim_count());
-  if (rows > reader.remaining() / vr.rel.RowBytes()) {
-    throw SncubeCorruptionError("snapshot view: row count exceeds payload");
-  }
-  vr.rel.Reserve(rows);
-  DeserializeRows(reader.GetBytes(rows * vr.rel.RowBytes()), vr.rel);
-  if (!reader.AtEnd()) {
-    throw SncubeCorruptionError("snapshot view: trailing bytes");
-  }
-  return vr;
+  return std::move(frame.view);
 }
 
 // Exact match for "epoch_<digits>" directory names; quarantined dirs
@@ -144,7 +108,7 @@ void SnapshotStore::WriteEpoch(std::uint64_t epoch, const CubeResult& cube,
 
 void SnapshotStore::WriteEpochView(std::uint64_t epoch, const ViewResult& vr) {
   std::filesystem::create_directories(EpochDir(epoch));
-  const ByteBuffer bytes = SerializeSnapshotView(epoch, vr);
+  const ByteBuffer bytes = EncodeViewFrame(vr, epoch);
   // Charge + persist inside the retry: a transient failure happens before
   // any bytes land, so a retry rewrites the file from scratch.
   WithRetry("view write",
@@ -209,7 +173,7 @@ CubeResult SnapshotStore::LoadEpoch(std::uint64_t epoch) {
     ByteBuffer bytes;
     WithRetry("view read",
               [&] { bytes = ReadSealedFile(ViewPath(epoch, id), disk_); });
-    cube.views.emplace(id, ParseSnapshotView(bytes, epoch, id));
+    cube.views.emplace(id, DecodeEpochView(bytes, epoch, id));
   }
   return cube;
 }
@@ -278,7 +242,7 @@ RecoveredSnapshot SnapshotStore::Recover() {
           try {
             WithRetry("view verify",
                       [&] { bytes = ReadSealedFile(path, disk_); });
-            ParseSnapshotView(bytes, *it, ViewId(mask));
+            DecodeEpochView(bytes, *it, ViewId(mask));
           } catch (const SncubeCorruptionError&) {
             std::error_code ec;
             const auto target = path.string() + ".corrupt";

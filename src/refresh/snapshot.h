@@ -5,7 +5,9 @@
 // the ONLY source of truth about what is installed:
 //
 //   <dir>/MANIFEST                       append-only sealed records
-//   <dir>/epoch_<E>/v<mask>.snap        one sealed frame per view of epoch E
+//   <dir>/epoch_<E>/v<mask>.snap        one sealed view frame per view of
+//                                        epoch E (seqcube/view_frame.h; the
+//                                        cube directory's format, epoch E)
 //
 // Record grammar (one per line, in swap order):
 //

@@ -191,6 +191,12 @@ ScheduleTree ScheduleTree::Deserialize(const ByteBuffer& bytes) {
   ScheduleTree tree;
   WireReader r(bytes);
   const auto count = r.Get<std::uint32_t>();
+  // A node takes at least 27 bytes (its fields and an empty order); bound
+  // the untrusted count by the payload before reserving for it.
+  constexpr std::size_t kMinNodeBytes = 4 + 4 + 1 + 1 + 1 + 8 + 8;
+  if (count > r.remaining() / kMinNodeBytes) {
+    throw SncubeCorruptionError("schedule tree: node count exceeds payload");
+  }
   tree.nodes_.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     ScheduleNode n;

@@ -2,12 +2,12 @@
 // paper's timed runs ("all times include the time taken to read the input
 // from files and write the output into files").
 //
-// A cube directory holds one binary file `v<mask-hex>.sncv` per persisted
-// view — a fixed header (magic, format version, view mask, width, sort
-// order, row count) and the raw row payload in the wire format of
-// relation/serialize.h — plus `manifest.txt`, the directory's index:
+// A cube directory holds one file `v<mask-hex>.sncv` per persisted view —
+// the view's frame (seqcube/view_frame.h, epoch 0: delta-varint packed sort
+// keys and zigzag-varint measures) sealed with a CRC32C trailer by
+// io/checked_file.h — plus `manifest.txt`, the directory's index:
 //
-//   sncube-manifest 2
+//   sncube-manifest 3
 //   <d>                      schema: the dimension count, then one line
 //   <name> <cardinality>     per dimension in canonical order
 //   ...
@@ -20,9 +20,9 @@
 // one, writes the view files, and writes the new one last (temp file +
 // rename). Readers walk the index, never the directory listing, so a reader
 // that needs one view opens the manifest and that view's file only. The
-// manifest is outside input: LoadManifest bounds-checks every line and a
-// view loaded through the index must match its entry (DESIGN.md §3).
-// Per-rank shard stores simply use per-rank directories.
+// manifest is outside input: LoadManifest bounds-checks every line, and a
+// view loaded through the index must verify and match its entry (DESIGN.md
+// §3). Per-rank shard stores simply use per-rank directories.
 #pragma once
 
 #include <cstdint>
@@ -55,9 +55,9 @@ class ViewStore {
   void RemoveManifest() const;
   // Reads and checks the manifest. Throws SncubeIoError when it is missing
   // and SncubeCorruptionError when it is malformed, truncated, of another
-  // version (format 1 has no index: rebuild such a directory), repeats a
-  // dimension name, names a mask outside the schema's dimensions, or lists
-  // masks out of order.
+  // version (formats 1 and 2 name view files of older layouts: rebuild such
+  // a directory), repeats a dimension name, names a mask outside the
+  // schema's dimensions, or lists masks out of order.
   CubeManifest LoadManifest() const;
 
   // Writes one view file; the index is the caller's (SaveManifest).
@@ -65,16 +65,18 @@ class ViewStore {
   // Persists the selected views of a cube computed as rank-order parts:
   // view v's file holds parts[0]'s rows of v, then parts[1]'s, and so on
   // (the global view, since each rank holds a globally sorted range),
-  // without concatenating them in memory. Then writes the manifest. Every
-  // part must hold the same selected views in the same sort orders.
+  // encoded without concatenating them in memory, so the bytes are those of
+  // the whole view. Then writes the manifest. Every part must hold the same
+  // selected views in the same sort orders.
   void SaveCubeParts(std::span<const CubeResult> parts,
                      const Schema& schema) const;
   // The one-part case: persists every selected view plus the manifest.
   void SaveCube(const CubeResult& cube, const Schema& schema) const;
 
   // Loads the view file an index entry names. Throws SncubeIoError when it
-  // is missing and SncubeCorruptionError when it is corrupt or its header
-  // disagrees with the entry's mask or row count.
+  // is missing and SncubeCorruptionError when any byte of it is damaged,
+  // it is truncated, or its frame disagrees with the entry's mask or row
+  // count.
   ViewResult Load(const ViewEntry& entry) const;
   // Loads every view the index names.
   CubeResult LoadCube() const;

@@ -17,7 +17,9 @@
 #include "schedule/partial.h"
 #include "schedule/pipesort.h"
 #include "schedule/schedule_tree.h"
+#include "relation/aggregate.h"
 #include "seqcube/seq_cube.h"
+#include "seqcube/view_frame.h"
 
 namespace sncube {
 namespace {
@@ -194,6 +196,23 @@ TEST_P(CorruptionFuzz, MutatedBuffersThrowTypedErrors) {
   }
   const ByteBuffer row_bytes = SerializeRelation(rel);
 
+  // Genuine view frames to mutate: `rel` aggregated into view {0, 1, 2}
+  // (a 17-bit key), and rows of three full 32-bit columns (a 96-bit key
+  // in two words).
+  const std::vector<int> cols = {0, 1, 2};
+  ViewResult view{ViewId::FromDims(cols), cols,
+                  SortAndAggregate(rel, cols, AggFn::kSum)};
+  const ByteBuffer narrow_frame = EncodeViewFrame(view, 1);
+  Relation wide(3);
+  for (int i = 0; i < 40; ++i) {
+    wide.Append(std::vector<Key>{static_cast<Key>(rng.Next()),
+                                 static_cast<Key>(rng.Next()),
+                                 static_cast<Key>(rng.Next())},
+                static_cast<Measure>(rng.Next()));
+  }
+  view.rel = SortAndAggregate(wide, cols, AggFn::kMax);
+  const ByteBuffer wide_frame = EncodeViewFrame(view, 2);
+
   for (int trial = 0; trial < 60; ++trial) {
     try {
       ScheduleTree::Deserialize(Mutate(rng, tree_bytes));
@@ -204,6 +223,12 @@ TEST_P(CorruptionFuzz, MutatedBuffersThrowTypedErrors) {
       Relation out(3);
       DeserializeRows(Mutate(rng, row_bytes), out);
     } catch (const SncubeError&) {
+    }
+    for (const ByteBuffer* frame : {&narrow_frame, &wide_frame}) {
+      try {
+        DecodeViewFrame(Mutate(rng, *frame));
+      } catch (const SncubeError&) {
+      }
     }
     // Pure garbage through the raw wire primitives.
     ByteBuffer garbage;

@@ -1,13 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <numeric>
 #include <string>
 
+#include "common/rng.h"
+#include "io/checked_file.h"
 #include "data/generator.h"
 #include "lattice/lattice.h"
+#include "net/wire.h"
+#include "relation/sort.h"
 #include "seqcube/seq_cube.h"
+#include "seqcube/view_frame.h"
 #include "seqcube/view_store.h"
 
 namespace sncube {
@@ -199,7 +207,7 @@ TEST_F(ViewStoreTest, MalformedManifestsThrowCorruption) {
   Schema schema;
   SaveSmallCube(store, &schema);
   const std::string good = ReadText(dir_ / "manifest.txt");
-  ASSERT_EQ(good.substr(0, 24), "sncube-manifest 2\n3\nD0 8");
+  ASSERT_EQ(good.substr(0, 24), "sncube-manifest 3\n3\nD0 8");
 
   const auto expect_corrupt = [&](const std::string& text,
                                   const std::string& what) {
@@ -220,9 +228,9 @@ TEST_F(ViewStoreTest, MalformedManifestsThrowCorruption) {
   }
   expect_corrupt("", "empty");
   expect_corrupt(good + "v00008 1\n", "trailing line");
-  expect_corrupt(replace("sncube-manifest 2", "sncube-manifest 3"),
+  expect_corrupt(replace("sncube-manifest 3", "sncube-manifest 4"),
                  "unknown version");
-  expect_corrupt(replace("sncube-manifest 2", "sncube-manifest x"),
+  expect_corrupt(replace("sncube-manifest 3", "sncube-manifest x"),
                  "non-numeric version");
   expect_corrupt(replace("sncube-manifest", "sncube-manifesto"), "bad magic");
   expect_corrupt(replace("\n3\n", "\n0\n"), "zero dimensions");
@@ -244,18 +252,34 @@ TEST_F(ViewStoreTest, MalformedManifestsThrowCorruption) {
   expect_corrupt(replace("\nend\n", "\nEND\n"), "bad end line");
 }
 
+void ExpectRebuildHint(const ViewStore& store) {
+  try {
+    store.LoadManifest();
+    FAIL() << "old manifest accepted";
+  } catch (const SncubeCorruptionError& e) {
+    EXPECT_NE(std::string(e.what()).find("rebuild"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_F(ViewStoreTest, FormatOneManifestSaysRebuild) {
   ViewStore store(dir_);
   Schema schema;
   SaveSmallCube(store, &schema);
   WriteText(dir_ / "manifest.txt", "sncube-manifest 1\n3\nD0 8\nD1 4\nD2 2\n");
-  try {
-    store.LoadManifest();
-    FAIL() << "format-1 manifest accepted";
-  } catch (const SncubeCorruptionError& e) {
-    EXPECT_NE(std::string(e.what()).find("rebuild"), std::string::npos)
-        << e.what();
-  }
+  ExpectRebuildHint(store);
+}
+
+// Format 2 indexed unsealed raw-row view files; its directories are refused
+// the same way.
+TEST_F(ViewStoreTest, FormatTwoManifestSaysRebuild) {
+  ViewStore store(dir_);
+  Schema schema;
+  SaveSmallCube(store, &schema);
+  std::string text = ReadText(dir_ / "manifest.txt");
+  text.replace(0, 17, "sncube-manifest 2");
+  WriteText(dir_ / "manifest.txt", text);
+  ExpectRebuildHint(store);
 }
 
 TEST_F(ViewStoreTest, ViewDisagreeingWithItsEntryThrowsCorruption) {
@@ -321,6 +345,338 @@ TEST_F(ViewStoreTest, EmptyViewPersists) {
   const ViewResult back = store.Load({ViewId::Empty(), 0});
   EXPECT_EQ(back.rel.size(), 0u);
   EXPECT_EQ(back.rel.width(), 0);
+}
+
+// Every byte of every view file is covered by the seal: a flipped byte or a
+// truncation anywhere is a typed error from Load and LoadCube, never a
+// changed answer.
+TEST_F(ViewStoreTest, EveryFlippedByteAndTruncationOfAViewFileThrows) {
+  ViewStore store(dir_);
+  Schema schema;
+  SaveSmallCube(store, &schema);
+  const CubeManifest manifest = store.LoadManifest();
+  std::size_t cases = 0;
+  for (const ViewEntry& entry : manifest.views) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "v%05x.sncv", entry.id.mask());
+    const auto path = dir_ / name;
+    const std::string good = ReadText(path);
+    ASSERT_FALSE(good.empty()) << name;
+    const auto expect_corrupt = [&](const std::string& bytes,
+                                    const std::string& what) {
+      WriteText(path, bytes);
+      EXPECT_THROW(store.Load(entry), SncubeCorruptionError) << name << what;
+      EXPECT_THROW(store.LoadCube(), SncubeCorruptionError) << name << what;
+      ++cases;
+    };
+    for (std::size_t i = 0; i < good.size(); ++i) {
+      std::string flipped = good;
+      flipped[i] = static_cast<char>(flipped[i] ^ 0x01);
+      expect_corrupt(flipped, " bit 0 of byte " + std::to_string(i));
+      flipped[i] = static_cast<char>(good[i] ^ 0xff);
+      expect_corrupt(flipped, " byte " + std::to_string(i) + " inverted");
+    }
+    for (std::size_t n = 0; n < good.size(); ++n) {
+      expect_corrupt(good.substr(0, n), " truncated to " + std::to_string(n));
+    }
+    WriteText(path, good);
+    EXPECT_EQ(store.Load(entry).rel.size(), entry.rows);
+  }
+  EXPECT_GT(cases, 1000u);
+}
+
+TEST_F(ViewStoreTest, SnapshotFrameInTheCubeDirectoryIsRefused) {
+  ViewStore store(dir_);
+  Schema schema;
+  const CubeResult cube = SaveSmallCube(store, &schema);
+  const ViewEntry entry = store.LoadManifest().views[1];
+  DiskModel disk;
+  WriteSealedFile(dir_ / "v00001.sncv",
+                  EncodeViewFrame(cube.views.at(entry.id), /*epoch=*/3), disk);
+  EXPECT_THROW(store.Load(entry), SncubeCorruptionError);
+}
+
+// ---------------------------------------------------------------------------
+// The view frame codec.
+
+void ExpectSameView(const ViewResult& got, const ViewResult& want) {
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.order, want.order);
+  EXPECT_EQ(got.selected, want.selected);
+  EXPECT_EQ(got.rel, want.rel);
+}
+
+// A random sorted, aggregated view over `dims` of 20 dimensions: every sort
+// column gets a random bit width from 0 to 32 (0 and 32 drawn often), rows
+// are distinct in the random sort order, and measures include the int64
+// extremes.
+ViewResult RandomView(Rng& rng, int dims, std::size_t max_rows) {
+  std::vector<int> all(ViewId::kMaxDims);
+  std::iota(all.begin(), all.end(), 0);
+  for (std::size_t i = all.size(); i > 1; --i) {
+    std::swap(all[i - 1], all[rng.Below(i)]);
+  }
+  ViewResult vr;
+  vr.order.assign(all.begin(), all.begin() + dims);
+  vr.id = ViewId::FromDims(vr.order);
+  vr.selected = rng.Below(2) == 0;
+  const std::vector<int> cols = ColumnsOf(vr.id, vr.order);
+  std::vector<int> bits(static_cast<std::size_t>(dims));
+  for (int& b : bits) {
+    const auto pick = rng.Below(4);
+    b = pick == 0 ? 0 : pick == 1 ? 32 : static_cast<int>(1 + rng.Below(31));
+  }
+  Relation raw(dims);
+  std::vector<Key> keys(static_cast<std::size_t>(dims));
+  const std::size_t rows = rng.Below(max_rows + 1);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const int b = bits[i];
+      keys[static_cast<std::size_t>(cols[i])] =
+          b == 0 ? 0 : static_cast<Key>(rng.Next() >> (64 - b));
+    }
+    Measure m = static_cast<Measure>(rng.Next());
+    if (rng.Below(8) == 0) m = std::numeric_limits<Measure>::min();
+    if (rng.Below(8) == 0) m = std::numeric_limits<Measure>::max();
+    if (rng.Below(8) == 0) m = 0;
+    raw.Append(keys, m);
+  }
+  const Relation sorted = SortRelation(raw, cols);
+  vr.rel = Relation(dims);
+  for (std::size_t r = 0; r < sorted.size(); ++r) {
+    if (r > 0 && CompareRows(sorted, r - 1, cols, sorted, r, cols) == 0) {
+      continue;
+    }
+    vr.rel.AppendRow(sorted, r);
+  }
+  return vr;
+}
+
+// The frame of a view split into random rank parts.
+ByteBuffer EncodeRandomParts(Rng& rng, const ViewResult& vr,
+                             std::uint64_t epoch,
+                             std::vector<Relation>& storage) {
+  const std::size_t k = 1 + rng.Below(4);
+  std::vector<std::size_t> cuts{0, vr.rel.size()};
+  for (std::size_t i = 1; i < k; ++i) {
+    cuts.push_back(rng.Below(vr.rel.size() + 1));
+  }
+  std::sort(cuts.begin(), cuts.end());
+  storage.assign(cuts.size() - 1, Relation(vr.rel.width()));
+  std::vector<const Relation*> parts;
+  for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+    for (std::size_t r = cuts[i]; r < cuts[i + 1]; ++r) {
+      storage[i].AppendRow(vr.rel, r);
+    }
+    parts.push_back(&storage[i]);
+  }
+  return EncodeViewFrame(vr.id, vr.order, vr.selected, epoch, parts);
+}
+
+TEST(ViewFrame, RandomViewsRoundTripAndPartsMatchTheWhole) {
+  Rng rng(2024);
+  int wide = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const int dims = trial % (ViewId::kMaxDims + 1);
+    const std::size_t max_rows = trial % 7 == 0 ? 1 : 300;
+    const ViewResult vr = RandomView(rng, dims, max_rows);
+    const std::uint64_t epoch = rng.Next();
+    const ByteBuffer frame = EncodeViewFrame(vr, epoch);
+    const ViewFrame back = DecodeViewFrame(frame);
+    EXPECT_EQ(back.epoch, epoch) << trial;
+    ExpectSameView(back.view, vr);
+    std::vector<Relation> storage;
+    EXPECT_EQ(EncodeRandomParts(rng, vr, epoch, storage), frame) << trial;
+
+    int bits = 0;
+    const std::vector<int> cols = ColumnsOf(vr.id, vr.order);
+    for (const int c : cols) {
+      Key any = 0;
+      for (std::size_t r = 0; r < vr.rel.size(); ++r) any |= vr.rel.key(r, c);
+      bits += std::bit_width(any);
+    }
+    if (bits > 64) ++wide;
+  }
+  EXPECT_GT(wide, 50);
+}
+
+TEST(ViewFrame, EmptyAndOneRowViews) {
+  for (const int dims : {0, 1, 5, 20}) {
+    std::vector<int> order(static_cast<std::size_t>(dims));
+    std::iota(order.begin(), order.end(), 0);
+    ViewResult vr;
+    vr.id = ViewId::FromDims(order);
+    vr.order = order;
+    vr.rel = Relation(dims);
+    ExpectSameView(DecodeViewFrame(EncodeViewFrame(vr, 0)).view, vr);
+    vr.rel.Append(std::vector<Key>(static_cast<std::size_t>(dims),
+                                   std::numeric_limits<Key>::max()),
+                  std::numeric_limits<Measure>::min());
+    ExpectSameView(DecodeViewFrame(EncodeViewFrame(vr, 0)).view, vr);
+  }
+}
+
+TEST(ViewFrame, SumMinMaxCubesRoundTrip) {
+  DatasetSpec spec;
+  spec.rows = 3000;
+  spec.cardinalities = {64, 16, 8, 3};
+  spec.alphas = {1.5, 0, 1, 0};
+  const Schema schema = spec.MakeSchema();
+  Relation raw = GenerateDataset(spec);
+  Rng rng(9);
+  for (std::size_t r = 0; r < raw.size(); ++r) {
+    raw.measure(r) = static_cast<Measure>(rng.Below(2000)) - 1000;
+  }
+  const std::vector<ViewId> partial = {ViewId::FromDims({0, 2}),
+                                       ViewId::FromDims({1}),
+                                       ViewId::FromDims({3})};
+  for (const AggFn fn : {AggFn::kSum, AggFn::kMin, AggFn::kMax}) {
+    for (const auto& selected : {AllViews(4), partial}) {
+      const CubeResult cube = SequentialCube(raw, schema, selected, fn);
+      for (const auto& [id, vr] : cube.views) {
+        ExpectSameView(DecodeViewFrame(EncodeViewFrame(vr, 0)).view, vr);
+      }
+    }
+  }
+}
+
+TEST(ViewFrame, WriterRequiresStrictlyIncreasingKeys) {
+  ViewResult vr = MakeView(ViewId::FromDims({0, 1}), {0, 1}, 3);
+  vr.rel.AppendRow(vr.rel, 2);  // a repeated key
+  EXPECT_THROW(EncodeViewFrame(vr, 0), SncubeError);
+  vr = MakeView(ViewId::FromDims({0, 1}), {1, 0}, 3);
+  vr.rel.AppendRow(vr.rel, 0);  // a smaller key
+  EXPECT_THROW(EncodeViewFrame(vr, 0), SncubeError);
+
+  // The same on the multiword path: three full 32-bit columns.
+  const Key top = std::numeric_limits<Key>::max();
+  vr.id = ViewId::FromDims({0, 1, 2});
+  vr.order = {0, 1, 2};
+  vr.rel = Relation(3);
+  vr.rel.Append(std::vector<Key>{top, 1, 0}, 1);
+  vr.rel.Append(std::vector<Key>{top, 1, top}, 1);
+  EXPECT_NO_THROW(EncodeViewFrame(vr, 0));
+  vr.rel.Append(std::vector<Key>{top, 1, top}, 1);  // a repeated key
+  EXPECT_THROW(EncodeViewFrame(vr, 0), SncubeError);
+  vr.rel = Relation(3);
+  vr.rel.Append(std::vector<Key>{top, 1, 0}, 1);
+  vr.rel.Append(std::vector<Key>{top, 0, top}, 1);  // a smaller key
+  EXPECT_THROW(EncodeViewFrame(vr, 0), SncubeError);
+}
+
+// A hand-made frame of view {0, 1} in order (0, 1) with the given column
+// widths, header row count and row bytes.
+ByteBuffer HandFrame(std::vector<std::uint8_t> widths, std::uint64_t rows,
+                     const std::vector<std::uint8_t>& body,
+                     std::vector<std::uint8_t> order = {0, 1}) {
+  ByteBuffer buf;
+  WirePut(buf, std::uint32_t{0x534E5646});
+  WirePut(buf, std::uint32_t{1});
+  WirePut(buf, std::uint32_t{3});
+  WirePut(buf, std::uint8_t{1});
+  WirePut(buf, std::uint64_t{0});
+  WirePut(buf, static_cast<std::uint8_t>(order.size()));
+  for (const auto dim : order) WirePut(buf, dim);
+  for (const auto w : widths) WirePut(buf, w);
+  WirePut(buf, rows);
+  for (const auto b : body) buf.push_back(static_cast<std::byte>(b));
+  return buf;
+}
+
+TEST(ViewFrame, ReaderRejectsEveryMalformedFrame) {
+  // The reference: rows (0,1) -> 5 and (1,0) -> -1 at widths (1, 1): keys
+  // 1 and 2, deltas 1 and 1, zigzag measures 10 and 1.
+  const ByteBuffer good = HandFrame({1, 1}, 2, {1, 10, 1, 1});
+  const ViewFrame ok = DecodeViewFrame(good);
+  ASSERT_EQ(ok.view.rel.size(), 2u);
+  EXPECT_EQ(ok.view.rel.key(0, 1), 1u);
+  EXPECT_EQ(ok.view.rel.key(1, 0), 1u);
+  EXPECT_EQ(ok.view.rel.measure(0), 5);
+  EXPECT_EQ(ok.view.rel.measure(1), -1);
+  EXPECT_EQ(EncodeViewFrame(ok.view, 0), good);
+
+  const auto rejects = [](const ByteBuffer& frame, const char* what) {
+    EXPECT_THROW(DecodeViewFrame(frame), SncubeCorruptionError) << what;
+  };
+  ByteBuffer bad = good;
+  bad[0] ^= std::byte{1};
+  rejects(bad, "bad magic");
+  bad = good;
+  bad[4] = std::byte{2};
+  rejects(bad, "unknown version");
+  bad = good;
+  bad[12] = std::byte{2};
+  rejects(bad, "selected flag");
+  rejects(HandFrame({1, 1}, 2, {1, 10, 1, 1}, {0, 0}), "repeated dimension");
+  rejects(HandFrame({1, 1}, 2, {1, 10, 1, 1}, {0, 2}), "dimension off mask");
+  rejects(HandFrame({1}, 2, {1, 10, 1, 1}, {0}), "order too short");
+  rejects(HandFrame({33, 1}, 2, {1, 10, 1, 1}), "width above 32");
+  rejects(HandFrame({1, 1}, 2, {0x81, 0x00, 10, 1, 1}), "overlong varint");
+  rejects(HandFrame({8, 8}, 2, {0x81, 0x00, 10, 1, 1}), "non-minimal varint");
+  rejects(HandFrame({1, 1}, 2, {1, 10, 0, 1}), "key does not increase");
+  rejects(HandFrame({1, 1}, 2, {1, 10, 3, 1}), "key beyond the widths");
+  rejects(HandFrame({1, 1}, 3, {1, 10, 1, 1}), "fewer rows than recorded");
+  rejects(HandFrame({1, 1}, 1, {1, 10, 1, 1}), "trailing bytes");
+  rejects(HandFrame({1, 1}, 2, {1, 10, 1, 1, 0}), "one trailing byte");
+  rejects(HandFrame({1, 1}, 1u << 20, {1, 10, 1, 1}), "huge row count");
+  rejects(HandFrame({1, 1}, 2,
+                    {1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+                     0x02, 1, 1}),
+          "measure beyond 64 bits");
+  rejects(HandFrame({1, 1}, 2, {1, 10, 1}), "truncated row");
+  for (std::size_t n = 0; n < good.size(); ++n) {
+    rejects(ByteBuffer(good.begin(), good.begin() + static_cast<long>(n)),
+            "truncated frame");
+  }
+}
+
+TEST(ViewFrame, WideKeyReaderRejections) {
+  // Three 32-bit columns: a 96-bit key in two words (64 + 32 bits).
+  ViewResult vr;
+  vr.id = ViewId::FromDims({0, 1, 2});
+  vr.order = {2, 0, 1};
+  vr.rel = Relation(3);
+  const Key top = std::numeric_limits<Key>::max();
+  vr.rel.Append(std::vector<Key>{top, top, 0}, 1);
+  vr.rel.Append(std::vector<Key>{0, 0, top}, 2);
+  vr.rel.Append(std::vector<Key>{top, top, top}, 3);
+  ExpectSameView(DecodeViewFrame(EncodeViewFrame(vr, 0)).view, vr);
+  // magic, version, mask, selected, epoch, order length, order, widths and
+  // the row count, which ends the header.
+  const std::size_t header = 4 + 4 + 4 + 1 + 8 + 1 + 3 + 3 + 8;
+  // A zero key delta for the second row does not increase.
+  ViewResult flat = vr;
+  flat.rel = Relation(3);
+  flat.rel.Append(std::vector<Key>{top, top, top}, 1);
+  const ByteBuffer one = EncodeViewFrame(flat, 0);
+  ByteBuffer repeated = one;
+  repeated[header - 8] = std::byte{2};  // row count 2
+  repeated.push_back(std::byte{0});     // delta 0
+  repeated.push_back(std::byte{2});     // measure 1
+  EXPECT_THROW(DecodeViewFrame(repeated), SncubeCorruptionError);
+  // A delta of one more on top of the all-ones key carries out of 96 bits.
+  ByteBuffer carry = one;
+  carry[header - 8] = std::byte{2};
+  carry.push_back(std::byte{1});
+  carry.push_back(std::byte{2});
+  EXPECT_THROW(DecodeViewFrame(carry), SncubeCorruptionError);
+  // A first-row key of 2^95 is the top bit of the widths and decodes; one
+  // of 2^96 needs a bit beyond them.
+  ByteBuffer big(one.begin(), one.begin() + static_cast<long>(header));
+  for (int i = 0; i < 13; ++i) big.push_back(std::byte{0x80});
+  big.push_back(std::byte{0x10});  // bit 95 = 13 * 7 + 4
+  big.push_back(std::byte{2});
+  const ViewResult top_bit = DecodeViewFrame(big).view;
+  EXPECT_EQ(top_bit.rel.key(0, 2), Key{1} << 31);  // order[0] = dim 2
+  EXPECT_EQ(top_bit.rel.key(0, 0), 0u);
+  big[big.size() - 2] = std::byte{0x20};  // bit 96 = 13 * 7 + 5
+  EXPECT_THROW(DecodeViewFrame(big), SncubeCorruptionError);
+  // Fifteen key bytes exceed ceil(96 / 7) = 14.
+  ByteBuffer overlong(one.begin(), one.begin() + static_cast<long>(header));
+  for (int i = 0; i < 14; ++i) overlong.push_back(std::byte{0x80});
+  overlong.push_back(std::byte{0x01});
+  overlong.push_back(std::byte{2});
+  EXPECT_THROW(DecodeViewFrame(overlong), SncubeCorruptionError);
 }
 
 }  // namespace

@@ -12,13 +12,17 @@
 4. `build --procs 3` and `--threads-per-rank 2` write a cube directory
    byte-identical to `--procs 1`, manifest included, full and partial.
 5. `query --where`/`--top` reject malformed numbers with a usage error
-   (exit 2), and a format-1 manifest is refused with a hint to rebuild.
-   Unknown flags (`query --wher`, `build --backend`/`--proc`) and
-   malformed or out-of-range `build` numbers are usage errors too, with
-   nothing on stdout and no cube directory written.
+   (exit 2), and format-1 and format-2 manifests are refused with a hint
+   to rebuild. Unknown flags (`query --wher`, `build --backend`/`--proc`),
+   malformed or out-of-range numbers of `build`, `generate`, `serve` and
+   `chaos` (comma lists included), and flags the chosen mode would ignore
+   (`serve --retries` at one shard, `chaos --shards` without `--serve`)
+   are usage errors too, with nothing on stdout and no output written.
 6. `refresh --snapshot-dir` commits epochs 1 and 2, each with one snapshot
    file per view of the cube's index, while the view-by-view rewrite of
    the cube directory still answers right.
+7. One flipped byte in the view file a query routes to makes `query` exit
+   nonzero with nothing on stdout, and `refresh` exit nonzero.
 """
 
 import argparse
@@ -156,6 +160,15 @@ def check_query_flags(binary, cube):
         raise AssertionError(f"--where D1=7 gave {got}, expected {want}")
     if len(json.loads(query("--top", "1").stdout)["rows"]) != 1:
         raise AssertionError("--top 1 did not keep one group")
+    # An empty group-by is the grand total; an empty list entry is refused.
+    out = run(binary, "query", "--cube", cube, "--group-by", "", "--json")
+    total = sum(r[2] for r in FACTS)
+    if out.returncode != 0 or json.loads(out.stdout)["rows"] != [[total]]:
+        raise AssertionError(f"--group-by '' gave {out.stdout!r} "
+                             f"{out.stderr[:120]!r}, expected [[{total}]]")
+    out = run(binary, "query", "--cube", cube, "--group-by", "D0,", "--json")
+    if out.returncode != 2 or out.stdout:
+        raise AssertionError(f"--group-by 'D0,': exit {out.returncode}")
 
 
 def check_usage_errors(binary, tmp, cube):
@@ -180,11 +193,65 @@ def check_usage_errors(binary, tmp, cube):
                         ("--fraction", "nan"), ("--gamma", "abc"),
                         ("--gamma", "-0.1"), ("--gamma", "inf")):
         calls.append((build + [flag, value], flag))
+    gen_out = tmp / "refused.csv"
+    generate = ["generate", "--rows", "10", "--cards", "4,3", "--out", gen_out]
+    for flag, value in (("--rows", "10x"), ("--rows", "0"), ("--rows", "-5"),
+                        ("--cards", "4,x"), ("--cards", "4,,3"),
+                        ("--cards", "4,3,"), ("--cards", "0,3"),
+                        ("--cards", ""),
+                        ("--alphas", "1.5z,1"), ("--alphas", "1"),
+                        ("--alphas", "-1,0"), ("--alphas", "nan,0"),
+                        ("--seed", "7q"), ("--seed", "-1")):
+        calls.append((generate + [flag, value], flag))
+    # Every serve call fails before the cube loads, so none starts a thread.
+    serve = ["serve", "--cube", cube, "--bench", "--workers", "1",
+             "--clients", "1", "--queries", "10"]
+    for flag, value in (("--workers", "2x"), ("--workers", "0"),
+                        ("--clients", "1y"), ("--queries", "5x"),
+                        ("--queries", "0"), ("--queue-depth", "abc"),
+                        ("--cache-mb", "-1"), ("--alpha", "1.0z"),
+                        ("--alpha", "-1"), ("--seed", "x"),
+                        ("--shards", "2x"), ("--shards", "0")):
+        calls.append((serve + [flag, value], flag))
+    sharded = serve + ["--shards", "2"]
+    for flag, value in (("--per-try-ms", "abc"), ("--retries", "7x"),
+                        ("--hedge-ms", "-3"), ("--breaker-failures", "0"),
+                        ("--breaker-cooldown-ms", "1.5"),
+                        ("--refresh-every", "x"),
+                        ("--fault-plan", "shardkill:x")):
+        calls.append((sharded + [flag, value], flag))
+    # Flags the mode ignores: router and refresh flags at one shard, the
+    # single-server trace with shards, refresh settings without refreshes.
+    for flag, value in (("--per-try-ms", "5"), ("--retries", "7"),
+                        ("--hedge-ms", "3"), ("--breaker-failures", "3"),
+                        ("--breaker-cooldown-ms", "10"),
+                        ("--refresh-every", "5"), ("--refresh-rows", "5"),
+                        ("--snapshot-dir", tmp / "snaps"),
+                        ("--fault-plan", "shardkill:1:1-2")):
+        calls.append((serve + [flag, value], flag))
+    calls.append((sharded + ["--trace-out", tmp / "t.json"], "--trace-out"))
+    calls.append((sharded + ["--refresh-rows", "5"], "--refresh-rows"))
+    calls.append((sharded + ["--snapshot-dir", tmp / "snaps"],
+                  "--snapshot-dir"))
+    chaos = ["chaos", "--plans", "1", "--rows", "50"]
+    for flag, value in (("--plans", "1x"), ("--plans", "0"), ("--rows", "x"),
+                        ("--seed", "1.5"), ("--procs", "2,x"),
+                        ("--procs", ""),
+                        ("--procs", "1"), ("--procs", "2,")):
+        calls.append((chaos + [flag, value], flag))
+    for mode in ("--serve", "--refresh"):
+        for flag, value in (("--shards", "2,1"), ("--shards", "x"),
+                            ("--requests", "5x"), ("--requests", "0")):
+            calls.append((chaos + [mode, flag, value], flag))
+        calls.append((chaos + [mode, "--procs", "2"], "--procs"))
+    calls.append((chaos + ["--shards", "2"], "--shards"))
+    calls.append((chaos + ["--requests", "5"], "--requests"))
+    calls.append((chaos + ["--serve", "--refresh"], "--serve"))
     for argv, flag in calls:
         out = run(binary, *argv)
         error_line = (out.stderr.splitlines() or [""])[0]
         if out.returncode != 2 or flag not in error_line or out.stdout or \
-                out_dir.exists():
+                out_dir.exists() or gen_out.exists():
             raise AssertionError(f"{argv[0]} {flag}: exit {out.returncode}, "
                                  f"stdout {out.stdout[:80]!r}, stderr "
                                  f"{out.stderr[:120]!r}, cube written "
@@ -192,14 +259,43 @@ def check_usage_errors(binary, tmp, cube):
                                  f"error naming {flag})")
 
 
-def check_format1_refused(binary, cube):
-    (cube / "manifest.txt").write_text("sncube-manifest 1\n2\nD1 10\nD0 2\n")
-    for argv in (["query", "--cube", cube, "--group-by", "D0"],
-                 ["info", "--cube", cube]):
-        out = run(binary, *argv)
-        if out.returncode != 1 or "rebuild" not in out.stderr:
-            raise AssertionError(f"{argv[0]} on a format-1 manifest: exit "
-                                 f"{out.returncode}, stderr {out.stderr!r}")
+def check_old_formats_refused(binary, cube):
+    manifest = (cube / "manifest.txt").read_text()
+    assert manifest.startswith("sncube-manifest 3\n"), manifest[:20]
+    for old in (manifest.replace("sncube-manifest 3", "sncube-manifest 2", 1),
+                "sncube-manifest 1\n2\nD1 10\nD0 2\n"):
+        (cube / "manifest.txt").write_text(old)
+        for argv in (["query", "--cube", cube, "--group-by", "D0"],
+                     ["info", "--cube", cube]):
+            out = run(binary, *argv)
+            if out.returncode != 1 or "rebuild" not in out.stderr:
+                raise AssertionError(f"{argv[0]} on {old[:17]!r}: exit "
+                                     f"{out.returncode}, stderr "
+                                     f"{out.stderr!r}")
+
+
+def check_flipped_byte_refused(binary, tmp):
+    """A byte flipped inside the routed view's file is a typed error, never
+    a changed answer."""
+    cube = tmp / "cube_flip"
+    out = run(binary, "build", "--in", tmp / "facts.csv", "--out", cube)
+    if out.returncode != 0:
+        raise AssertionError(f"build failed: {out.stderr}")
+    lines = (cube / "manifest.txt").read_text().splitlines()
+    names = [line.split()[0] for line in lines[2:2 + int(lines[1])]]
+    view = cube / f"v{1 << names.index('D0'):05x}.sncv"
+    data = bytearray(view.read_bytes())
+    data[len(data) - 17] ^= 0x01  # the last row's measure, before the seal
+    view.write_bytes(bytes(data))
+    out = run(binary, "query", "--cube", cube, "--group-by", "D0", "--json")
+    if out.returncode == 0 or out.stdout or view.name not in out.stderr:
+        raise AssertionError(f"query on a flipped byte: exit "
+                             f"{out.returncode}, stdout {out.stdout!r}, "
+                             f"stderr {out.stderr!r}")
+    out = run(binary, "refresh", "--cube", cube, "--delta", tmp / "delta.csv")
+    if out.returncode == 0:
+        raise AssertionError(f"refresh over a flipped byte exited 0: "
+                             f"{out.stdout!r}")
 
 
 def main():
@@ -240,7 +336,8 @@ def main():
         check_refresh_snapshots(binary, tmp)
         check_query_flags(binary, tmp / "cube_crlf")
         check_usage_errors(binary, tmp, tmp / "cube_crlf")
-        check_format1_refused(binary, tmp / "cube_crlf")
+        check_flipped_byte_refused(binary, tmp)
+        check_old_formats_refused(binary, tmp / "cube_crlf")
     print("cli_csv_test: ok")
     return 0
 

@@ -34,8 +34,7 @@ Enforces invariants no off-the-shelf checker knows about, as compile-time
                    randomness derives from common/rng.h seeded streams so
                    runs, tests, and fault plans replay bit-for-bit.
 
-  raw-thread       src/core, src/io, src/exec, src/hashagg must not spawn
-                   raw threads
+  raw-thread       src/core, src/io, src/exec must not spawn raw threads
                    (std::thread / std::jthread / std::async). Intra-rank
                    parallelism goes through the exec::TaskPool runtime so
                    span accounting, determinism (stable chunk boundaries),
@@ -54,8 +53,9 @@ Enforces invariants no off-the-shelf checker knows about, as compile-time
                    races. The production clock implementation
                    (serve/retry_policy.cc) is the one sanctioned sleep site.
 
-  raw-file-write   src/core, src/io, src/net, src/refresh must not open
-                   files for writing directly (std::ofstream / fopen).
+  raw-file-write   src/core, src/io, src/net, src/refresh, src/seqcube must
+                   not open files for writing directly (std::ofstream /
+                   fopen).
                    Durable bytes in those layers go through the checksummed
                    io layer
                    (io/checked_file.h, io/run_store.h) so every artifact
@@ -135,7 +135,7 @@ RULES = [
     },
     {
         "id": "raw-thread",
-        "paths": ("src/core/", "src/io/", "src/exec/", "src/hashagg/"),
+        "paths": ("src/core/", "src/io/", "src/exec/"),
         # The pool implementation is where the real threads are supposed to
         # live — all other intra-rank parallelism rides on exec::TaskPool.
         # (The header declares the worker vector; the .cc spawns them.)
@@ -165,7 +165,8 @@ RULES = [
     },
     {
         "id": "raw-file-write",
-        "paths": ("src/core/", "src/io/", "src/net/", "src/refresh/"),
+        "paths": ("src/core/", "src/io/", "src/net/", "src/refresh/",
+                  "src/seqcube/"),
         # The checksummed io layer is where the raw writes are supposed to
         # live — everything else goes through it.
         "exempt": ("src/io/checked_file.cc",),

@@ -27,7 +27,7 @@ families a regex cannot see:
   unordered-iter       std::unordered_{map,set,multimap,multiset} iteration
                        order is unspecified and can leak into cube bytes.
                        In the deterministic paths (src/core, src/exec,
-                       src/schedule, src/lattice, src/hashagg) this flags (a) every
+                       src/schedule, src/lattice) this flags (a) every
                        declaration of an unordered container — so a
                        lookup-only table carries an explicit suppression
                        saying it is never traversed — and (b) every
@@ -117,7 +117,7 @@ RULE_DOCS = {
 AST_RULE_IDS = frozenset(RULE_DOCS)
 
 DETERMINISTIC_PATHS = ("src/core/", "src/exec/", "src/schedule/",
-                       "src/lattice/", "src/hashagg/")
+                       "src/lattice/")
 CLOCK_PATHS = ("src/core/", "src/io/", "src/net/", "src/obs/")
 CLOCK_EXEMPT = ("src/common/timer.h",)
 BLOCKING_PATHS = ("src/serve/", "src/net/", "src/io/")

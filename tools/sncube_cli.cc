@@ -30,12 +30,12 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -152,11 +152,13 @@ constexpr const char* kHelpText =
     "  --alpha A          Zipf skew of the query mix (default 1.0)\n"
     "  --seed S           workload RNG seed (default 42)\n"
     "  --trace-out FILE   write a Chrome trace of worker request handling\n"
-    "                     (wall clock; non-deterministic by nature)\n"
+    "                     (wall clock; non-deterministic by nature; needs\n"
+    "                     --shards 1)\n"
     "  --summary-out FILE write unified metrics registry JSON to FILE\n"
     "  --shards N         serve the cube sliced over N shard nodes behind\n"
     "                     the resilient router (default 1 = single server;\n"
-    "                     N >= 2 enables the flags below)\n"
+    "                     the flags below need N >= 2 and are refused\n"
+    "                     without it)\n"
     "  --fault-plan SPEC  serve-tier fault clauses keyed on request sequence,\n"
     "                     e.g. \"shardkill:1:100-900;shardslow:0:0:3.0\"\n"
     "  --per-try-ms MS    router per-try deadline (default 50, 0 disables)\n"
@@ -170,8 +172,10 @@ constexpr const char* kHelpText =
     "  --refresh-every Q  with --shards >= 2: run an online refresh (epoch\n"
     "                     swap under live traffic) after every Q routed\n"
     "                     queries (default 0 = no refreshes)\n"
-    "  --refresh-rows R   synthetic delta rows per refresh (default 1000)\n"
-    "  --snapshot-dir DIR refresh snapshot store (default: temp directory)\n"
+    "  --refresh-rows R   synthetic delta rows per refresh (default 1000;\n"
+    "                     needs --refresh-every)\n"
+    "  --snapshot-dir DIR refresh snapshot store (default: temp directory;\n"
+    "                     needs --refresh-every)\n"
     "\n"
     "sncube chaos --plans N --seed S\n"
     "  runs N random fault plans per cluster size; each trial builds a cube\n"
@@ -181,7 +185,8 @@ constexpr const char* kHelpText =
     "  invariant; exit 4 = integrity violation found (see the JSON report).\n"
     "  --plans N          random fault plans per cluster size (default 16)\n"
     "  --seed S           master seed for plan generation (default 1)\n"
-    "  --procs P0,P1,...  cluster sizes to exercise (default 2,4)\n"
+    "  --procs P0,P1,...  cluster sizes to exercise (default 2,4; build\n"
+    "                     search only)\n"
     "  --rows R           synthetic fact rows per trial (default 600)\n"
     "  --fail-out FILE    append each minimal failing plan spec, one per line\n"
     "  --verbose          per-trial progress on stderr\n"
@@ -256,12 +261,18 @@ class Args {
   std::map<std::string, std::string> values_;
 };
 
+// Splits at every comma: "a,,b" and "a," keep their empty entries, so a
+// list flag rejects them instead of skipping them. An empty string is an
+// empty list (`query --group-by ""` asks for the grand total).
 std::vector<std::string> SplitCommas(const std::string& s) {
   std::vector<std::string> parts;
-  std::stringstream ss(s);
-  std::string part;
-  while (std::getline(ss, part, ',')) parts.push_back(part);
-  return parts;
+  if (s.empty()) return parts;
+  for (std::size_t start = 0;;) {
+    const auto comma = s.find(',', start);
+    parts.push_back(s.substr(start, comma - start));
+    if (comma == std::string::npos) return parts;
+    start = comma + 1;
+  }
 }
 
 int DimIndexByName(const Schema& schema, const std::string& name) {
@@ -302,17 +313,58 @@ double ParseFlagReal(const std::string& flag, const std::string& text) {
   return value;
 }
 
+// ParseFlagNumber over every entry of a non-empty comma-separated list.
+template <typename T>
+std::vector<T> ParseFlagList(const std::string& flag, const std::string& text,
+                             T min = 0, T max = std::numeric_limits<T>::max()) {
+  if (text.empty()) Usage((flag + " expects a comma-separated list").c_str());
+  std::vector<T> values;
+  for (const auto& part : SplitCommas(text)) {
+    values.push_back(ParseFlagNumber<T>(flag, part, min, max));
+  }
+  return values;
+}
+
+// An optional integer flag with a default; see ParseFlagNumber.
+template <typename T>
+T FlagOr(const Args& args, const std::string& name, T fallback, T min = 0,
+         T max = std::numeric_limits<T>::max()) {
+  const auto text = args.Get(name);
+  return text ? ParseFlagNumber<T>("--" + name, *text, min, max) : fallback;
+}
+
+// Refuses each of `names` that is set: they mean nothing in the mode the
+// command runs in, which `why` names.
+void RefuseFlags(const Args& args, std::initializer_list<const char*> names,
+                 const std::string& why) {
+  for (const char* name : names) {
+    if (args.Has(name)) Usage(("--" + std::string(name) + " " + why).c_str());
+  }
+}
+
+constexpr std::uint32_t kIntMax = std::numeric_limits<int>::max();
+// Largest millisecond count whose microseconds fit in a uint64.
+constexpr std::uint64_t kMaxMs =
+    std::numeric_limits<std::uint64_t>::max() / 1000;
+
 int CmdGenerate(const Args& args) {
   DatasetSpec spec;
-  spec.rows = std::atoll(args.Require("rows").c_str());
-  for (const auto& c : SplitCommas(args.Require("cards"))) {
-    spec.cardinalities.push_back(static_cast<std::uint32_t>(std::stoul(c)));
+  spec.rows = ParseFlagNumber<std::int64_t>("--rows", args.Require("rows"), 1);
+  spec.cardinalities =
+      ParseFlagList<std::uint32_t>("--cards", args.Require("cards"), 1);
+  if (spec.cardinalities.size() > static_cast<std::size_t>(ViewId::kMaxDims)) {
+    Usage("--cards takes at most 20 dimensions");
   }
   if (const auto alphas = args.Get("alphas")) {
-    for (const auto& a : SplitCommas(*alphas)) spec.alphas.push_back(std::stod(a));
+    for (const auto& a : SplitCommas(*alphas)) {
+      spec.alphas.push_back(ParseFlagReal("--alphas", a));
+      if (spec.alphas.back() < 0) Usage("--alphas entries must be >= 0");
+    }
+    if (spec.alphas.size() != spec.cardinalities.size()) {
+      Usage("--alphas needs one entry per --cards entry");
+    }
   }
-  spec.seed = static_cast<std::uint64_t>(
-      std::atoll(args.Get("seed").value_or("42").c_str()));
+  spec.seed = FlagOr<std::uint64_t>(args, "seed", 42);
 
   const Relation rel = GenerateDataset(spec);
   const Schema schema = spec.MakeSchema();
@@ -331,7 +383,6 @@ int CmdGenerate(const Args& args) {
 int CmdBuild(const Args& args) {
   // Options are checked before the input is read; only --views' upper
   // bound, 2^d, waits for d.
-  constexpr std::uint32_t kIntMax = std::numeric_limits<int>::max();
   const auto p = static_cast<int>(ParseFlagNumber<std::uint32_t>(
       "--procs", args.Get("procs").value_or("1"), 1, kIntMax));
   const auto threads_per_rank = static_cast<int>(ParseFlagNumber<std::uint32_t>(
@@ -367,7 +418,7 @@ int CmdBuild(const Args& args) {
     try {
       fault_plan = FaultPlan::Parse(*fault_spec);
     } catch (const SncubeError& e) {
-      Usage(e.what());
+      Usage(("--fault-plan: " + std::string(e.what())).c_str());
     }
   }
   const std::string out = args.Require("out");
@@ -674,6 +725,16 @@ int CmdRefresh(const Args& args) {
   return 0;
 }
 
+// What `serve --shards N` (N >= 2) reads beyond the single-server flags:
+// the router's policies, the serve-tier fault plan and the online refresh.
+struct ShardedServeOptions {
+  int shards = 1;
+  RouterOptions router;
+  FaultPlan plan;
+  std::int64_t refresh_every = 0;
+  std::int64_t refresh_rows = 1000;
+};
+
 // serve --shards N (N >= 2): slice the cube over N in-process shard nodes
 // and replay the mix through the resilient Router instead of one CubeServer.
 // Runs on the wall clock; any --fault-plan serve clauses key on the router's
@@ -681,41 +742,16 @@ int CmdRefresh(const Args& args) {
 int CmdServeSharded(const Args& args, const CubeResult& cube,
                     const Schema& schema, const ServerOptions& server_opts,
                     const QueryMix& mix, const WorkloadSpec& wspec,
-                    std::int64_t total_queries, int clients, int shards) {
+                    std::int64_t total_queries, int clients,
+                    const ShardedServeOptions& sharded) {
+  const int shards = sharded.shards;
+  const std::int64_t refresh_every = sharded.refresh_every;
+  const std::int64_t refresh_rows = sharded.refresh_rows;
   ShardSetOptions sopts;
   sopts.shards = shards;
   sopts.server = server_opts;
-  FaultPlan plan;
-  if (const auto spec = args.Get("fault-plan")) plan = FaultPlan::Parse(*spec);
-
-  RouterOptions ropts;
-  ropts.per_try_us = 1000ULL *
-      static_cast<std::uint64_t>(
-          std::atoll(args.Get("per-try-ms").value_or("50").c_str()));
-  ropts.max_tries =
-      1 + std::atoi(args.Get("retries").value_or("2").c_str());
-  ropts.hedge_delay_us = 1000ULL *
-      static_cast<std::uint64_t>(
-          std::atoll(args.Get("hedge-ms").value_or("0").c_str()));
-  ropts.breaker.failure_threshold =
-      std::atoi(args.Get("breaker-failures").value_or("5").c_str());
-  ropts.breaker.cooldown_us = 1000ULL *
-      static_cast<std::uint64_t>(
-          std::atoll(args.Get("breaker-cooldown-ms").value_or("250").c_str()));
-  if (ropts.max_tries < 1 || ropts.breaker.failure_threshold < 1) {
-    Usage("--retries must be >= 0 and --breaker-failures >= 1");
-  }
-
-  const std::int64_t refresh_every =
-      std::atoll(args.Get("refresh-every").value_or("0").c_str());
-  const std::int64_t refresh_rows =
-      std::atoll(args.Get("refresh-rows").value_or("1000").c_str());
-  if (refresh_every < 0 || refresh_rows < 1) {
-    Usage("--refresh-every must be >= 0 and --refresh-rows >= 1");
-  }
-
-  ShardSet shard_set(cube, sopts, plan);
-  Router router(shard_set, ropts);
+  ShardSet shard_set(cube, sopts, sharded.plan);
+  Router router(shard_set, sharded.router);
 
   // Online refresh under traffic: a background coordinator ingests a
   // synthetic delta (deterministic: seed 7777+k for the k-th refresh) and
@@ -804,41 +840,69 @@ int CmdServe(const Args& args) {
   if (!args.Has("bench")) {
     Usage("serve currently requires --bench (replay a synthetic query mix)");
   }
+  // Every flag is parsed and checked against the mode before the cube loads.
+  ServerOptions opts;
+  opts.workers = static_cast<int>(
+      FlagOr<std::uint32_t>(args, "workers", 4, 1, kIntMax));
+  opts.queue_depth = FlagOr<std::uint64_t>(args, "queue-depth", 256, 1);
+  opts.cache_bytes = FlagOr<std::uint64_t>(args, "cache-mb", 64, 0,
+                                           std::uint64_t{1} << 40)
+                     << 20;
+  WorkloadSpec wspec;
+  if (const auto alpha = args.Get("alpha")) {
+    wspec.alpha = ParseFlagReal("--alpha", *alpha);
+    if (wspec.alpha < 0) Usage("--alpha must be >= 0");
+  }
+  wspec.seed = FlagOr<std::uint64_t>(args, "seed", 42);
+  const auto total_queries = FlagOr<std::int64_t>(args, "queries", 20000, 1);
+  const auto clients = static_cast<int>(
+      FlagOr<std::uint32_t>(args, "clients", 8, 1, kIntMax));
+
+  ShardedServeOptions sharded;
+  sharded.shards = static_cast<int>(
+      FlagOr<std::uint32_t>(args, "shards", 1, 1, kIntMax));
+  if (sharded.shards == 1) {
+    RefuseFlags(args,
+                {"fault-plan", "per-try-ms", "retries", "hedge-ms",
+                 "breaker-failures", "breaker-cooldown-ms", "refresh-every",
+                 "refresh-rows", "snapshot-dir"},
+                "requires --shards >= 2");
+  } else {
+    RefuseFlags(args, {"trace-out"}, "requires --shards 1");
+    RouterOptions& ropts = sharded.router;
+    ropts.per_try_us =
+        1000 * FlagOr<std::uint64_t>(args, "per-try-ms", 50, 0, kMaxMs);
+    ropts.max_tries = 1 + static_cast<int>(FlagOr<std::uint32_t>(
+                              args, "retries", 2, 0, kIntMax - 1));
+    ropts.hedge_delay_us =
+        1000 * FlagOr<std::uint64_t>(args, "hedge-ms", 0, 0, kMaxMs);
+    ropts.breaker.failure_threshold = static_cast<int>(
+        FlagOr<std::uint32_t>(args, "breaker-failures", 5, 1, kIntMax));
+    ropts.breaker.cooldown_us =
+        1000 *
+        FlagOr<std::uint64_t>(args, "breaker-cooldown-ms", 250, 0, kMaxMs);
+    if (const auto spec = args.Get("fault-plan")) {
+      try {
+        sharded.plan = FaultPlan::Parse(*spec);
+      } catch (const SncubeError& e) {
+        Usage(("--fault-plan: " + std::string(e.what())).c_str());
+      }
+    }
+    sharded.refresh_every = FlagOr<std::int64_t>(args, "refresh-every", 0);
+    if (sharded.refresh_every == 0) {
+      RefuseFlags(args, {"refresh-rows", "snapshot-dir"},
+                  "requires --refresh-every >= 1");
+    }
+    sharded.refresh_rows = FlagOr<std::int64_t>(args, "refresh-rows", 1000, 1);
+  }
+
   const ViewStore store(args.Require("cube"));
   const Schema schema = store.LoadManifest().schema;
   const CubeResult cube = store.LoadCube();
-
-  ServerOptions opts;
-  opts.workers = std::atoi(args.Get("workers").value_or("4").c_str());
-  opts.queue_depth = static_cast<std::size_t>(
-      std::atoll(args.Get("queue-depth").value_or("256").c_str()));
-  opts.cache_bytes = static_cast<std::size_t>(
-      std::atoll(args.Get("cache-mb").value_or("64").c_str())) << 20;
-
-  WorkloadSpec wspec;
-  wspec.alpha = std::stod(args.Get("alpha").value_or("1.0"));
-  wspec.seed = static_cast<std::uint64_t>(
-      std::atoll(args.Get("seed").value_or("42").c_str()));
   const QueryMix mix(cube, schema, wspec);
-
-  const std::int64_t total_queries =
-      std::atoll(args.Get("queries").value_or("20000").c_str());
-  const int clients = std::atoi(args.Get("clients").value_or("8").c_str());
-  if (clients < 1 || total_queries < 1) {
-    Usage("--clients and --queries must be >= 1");
-  }
-
-  const int shards = std::atoi(args.Get("shards").value_or("1").c_str());
-  if (shards < 1) Usage("--shards must be >= 1");
-  if (shards >= 2) {
+  if (sharded.shards >= 2) {
     return CmdServeSharded(args, cube, schema, opts, mix, wspec,
-                           total_queries, clients, shards);
-  }
-  if (args.Get("fault-plan")) {
-    Usage("serve --fault-plan requires --shards >= 2");
-  }
-  if (args.Get("refresh-every")) {
-    Usage("serve --refresh-every requires --shards >= 2");
+                           total_queries, clients, sharded);
   }
 
   const auto trace_out = args.Get("trace-out");
@@ -886,32 +950,36 @@ int CmdServe(const Args& args) {
   return 0;
 }
 
+// The flags every chaos search reads; each defaults to the search's own
+// option value.
+template <typename Options>
+void ParseChaosFlags(const Args& args, Options& opts) {
+  opts.plans = static_cast<int>(
+      FlagOr<std::uint32_t>(args, "plans", opts.plans, 1, kIntMax));
+  opts.seed = FlagOr<std::uint64_t>(args, "seed", opts.seed);
+  opts.rows = FlagOr<std::uint64_t>(args, "rows", opts.rows, 1);
+  opts.verbose = args.Has("verbose");
+}
+
+// ParseChaosFlags plus the serve and refresh searches' --requests and
+// --shards.
+template <typename Options>
+void ParseServingChaosFlags(const Args& args, Options& opts) {
+  ParseChaosFlags(args, opts);
+  opts.requests = static_cast<int>(
+      FlagOr<std::uint32_t>(args, "requests", opts.requests, 1, kIntMax));
+  if (const auto shards = args.Get("shards")) {
+    opts.shard_counts = ParseFlagList<int>("--shards", *shards, 2);
+  }
+}
+
 // chaos --serve: the serving-tier search. Shares --plans/--seed/--rows/
 // --fail-out/--verbose with the build search; fail-out lines are
 // "<shards> <spec>" (ChaosFailure::procs carries the shard count), so the
 // nightly corpus handles both tiers uniformly.
 int CmdServeChaos(const Args& args) {
   chaos::ServeChaosOptions opts;
-  opts.plans = std::atoi(args.Get("plans").value_or("16").c_str());
-  opts.seed = static_cast<std::uint64_t>(
-      std::atoll(args.Get("seed").value_or("1").c_str()));
-  opts.rows = static_cast<std::uint64_t>(
-      std::atoll(args.Get("rows").value_or("600").c_str()));
-  opts.requests = std::atoi(args.Get("requests").value_or("200").c_str());
-  if (const auto shards = args.Get("shards")) {
-    opts.shard_counts.clear();
-    for (const auto& s : SplitCommas(*shards)) {
-      opts.shard_counts.push_back(std::atoi(s.c_str()));
-    }
-  }
-  if (opts.plans < 1 || opts.rows < 1 || opts.requests < 1 ||
-      opts.shard_counts.empty()) {
-    Usage("--plans, --rows and --requests must be >= 1, --shards non-empty");
-  }
-  for (const int s : opts.shard_counts) {
-    if (s < 2) Usage("chaos --serve --shards entries must be >= 2");
-  }
-  opts.verbose = args.Has("verbose");
+  ParseServingChaosFlags(args, opts);
 
   const chaos::ChaosReport report = chaos::RunServeChaosSearch(opts);
   std::printf("%s\n", report.ToJson().c_str());
@@ -932,26 +1000,7 @@ int CmdServeChaos(const Args& args) {
 // Same flag surface as --serve; fail-out lines are "<shards> <spec>".
 int CmdRefreshChaos(const Args& args) {
   chaos::RefreshChaosOptions opts;
-  opts.plans = std::atoi(args.Get("plans").value_or("16").c_str());
-  opts.seed = static_cast<std::uint64_t>(
-      std::atoll(args.Get("seed").value_or("1").c_str()));
-  opts.rows = static_cast<std::uint64_t>(
-      std::atoll(args.Get("rows").value_or("500").c_str()));
-  opts.requests = std::atoi(args.Get("requests").value_or("120").c_str());
-  if (const auto shards = args.Get("shards")) {
-    opts.shard_counts.clear();
-    for (const auto& s : SplitCommas(*shards)) {
-      opts.shard_counts.push_back(std::atoi(s.c_str()));
-    }
-  }
-  if (opts.plans < 1 || opts.rows < 1 || opts.requests < 1 ||
-      opts.shard_counts.empty()) {
-    Usage("--plans, --rows and --requests must be >= 1, --shards non-empty");
-  }
-  for (const int s : opts.shard_counts) {
-    if (s < 2) Usage("chaos --refresh --shards entries must be >= 2");
-  }
-  opts.verbose = args.Has("verbose");
+  ParseServingChaosFlags(args, opts);
 
   const chaos::ChaosReport report = chaos::RunRefreshChaosSearch(opts);
   std::printf("%s\n", report.ToJson().c_str());
@@ -969,27 +1018,20 @@ int CmdRefreshChaos(const Args& args) {
 }
 
 int CmdChaos(const Args& args) {
-  if (args.Has("refresh")) return CmdRefreshChaos(args);
-  if (args.Has("serve")) return CmdServeChaos(args);
+  const bool serve = args.Has("serve");
+  const bool refresh = args.Has("refresh");
+  if (serve && refresh) Usage("--serve and --refresh are exclusive");
+  if (serve || refresh) {
+    RefuseFlags(args, {"procs"}, "belongs to the build search (no --serve or "
+                                 "--refresh)");
+    return refresh ? CmdRefreshChaos(args) : CmdServeChaos(args);
+  }
+  RefuseFlags(args, {"shards", "requests"}, "requires --serve or --refresh");
   chaos::ChaosOptions opts;
-  opts.plans = std::atoi(args.Get("plans").value_or("16").c_str());
-  opts.seed = static_cast<std::uint64_t>(
-      std::atoll(args.Get("seed").value_or("1").c_str()));
-  opts.rows = static_cast<std::uint64_t>(
-      std::atoll(args.Get("rows").value_or("600").c_str()));
+  ParseChaosFlags(args, opts);
   if (const auto procs = args.Get("procs")) {
-    opts.procs.clear();
-    for (const auto& p : SplitCommas(*procs)) {
-      opts.procs.push_back(std::atoi(p.c_str()));
-    }
+    opts.procs = ParseFlagList<int>("--procs", *procs, 2);
   }
-  if (opts.plans < 1 || opts.rows < 1 || opts.procs.empty()) {
-    Usage("--plans and --rows must be >= 1 and --procs non-empty");
-  }
-  for (const int p : opts.procs) {
-    if (p < 2) Usage("chaos --procs entries must be >= 2");
-  }
-  opts.verbose = args.Has("verbose");
 
   const chaos::ChaosReport report = chaos::RunChaosSearch(opts);
   std::printf("%s\n", report.ToJson().c_str());
