@@ -31,10 +31,11 @@ CubeResult ComputeDeltaCube(const Relation& delta, const Schema& schema,
   return SequentialCube(delta, schema, affected, fn, disk, stats, strategy);
 }
 
-Relation MergeAggregateByOrder(const Relation& a, const Relation& b,
-                               std::span<const int> cols, AggFn fn) {
-  SNCUBE_CHECK(a.width() == b.width());
-  Relation out(a.width());
+void MergeAggregateByOrder(const Relation& a, const Relation& b,
+                           std::span<const int> cols, AggFn fn,
+                           Relation& out) {
+  SNCUBE_CHECK(a.width() == b.width() && &out != &a && &out != &b);
+  out.Reset(a.width());
   out.Reserve(a.size() + b.size());
   std::size_t i = 0;
   std::size_t j = 0;
@@ -52,19 +53,17 @@ Relation MergeAggregateByOrder(const Relation& a, const Relation& b,
   }
   while (i < a.size()) out.AppendRow(a, i++);
   while (j < b.size()) out.AppendRow(b, j++);
-  return out;
 }
 
-ViewResult MergeDeltaView(const ViewResult& base, const CubeResult& delta_cube,
-                          AggFn fn) {
-  ViewResult out;
+void MergeDeltaView(const ViewResult& base, const CubeResult& delta_cube,
+                    AggFn fn, ViewResult& out) {
   out.id = base.id;
   out.order = base.order;
   out.selected = base.selected;
   const auto it = delta_cube.views.find(base.id);
   if (it == delta_cube.views.end() || it->second.rel.empty()) {
     out.rel = base.rel;  // untouched view: byte-identical pass-through
-    return out;
+    return;
   }
   // The delta build chose its own sort orders (its Pipesort ran on delta
   // statistics); re-sort its rows into the BASE view's order so the merge is
@@ -72,19 +71,20 @@ ViewResult MergeDeltaView(const ViewResult& base, const CubeResult& delta_cube,
   // keeps refreshed cubes drop-in for slice partitioning and golden
   // comparisons.
   const std::vector<int> cols = ColumnsOf(base.id, base.order);
-  Relation delta_rows = it->second.rel;
+  const Relation* delta_rows = &it->second.rel;
+  Relation resorted;
   if (it->second.order != base.order) {
-    delta_rows = SortRelation(delta_rows, cols);
+    resorted = SortRelation(*delta_rows, cols);
+    delta_rows = &resorted;
   }
-  out.rel = MergeAggregateByOrder(base.rel, delta_rows, cols, fn);
-  return out;
+  MergeAggregateByOrder(base.rel, *delta_rows, cols, fn, out.rel);
 }
 
 CubeResult MergeDeltaCube(const CubeResult& base, const CubeResult& delta_cube,
                           AggFn fn) {
   CubeResult merged;
   for (const auto& [id, vr] : base.views) {
-    merged.views.emplace(id, MergeDeltaView(vr, delta_cube, fn));
+    MergeDeltaView(vr, delta_cube, fn, merged.views[id]);
   }
   return merged;
 }
@@ -101,18 +101,28 @@ StoreRefreshResult RefreshViewStore(
   result.views_refreshed = affected.size();
   CubeResult delta_cube = ComputeDeltaCube(delta, manifest.schema, affected);
 
-  CubeManifest refreshed{manifest.schema, {}};
-  refreshed.views.reserve(manifest.views.size());
-  store.RemoveManifest();
+  // The rewrite is in place, so a damaged input view met midway would cost
+  // the whole directory: the views before it rewritten, the manifest gone.
+  // Every file the index names is checked (seal, and header against its
+  // entry) before the writer removes the manifest. A stop-gap until refresh
+  // writes a new epoch beside the old one (ROADMAP item 2).
+  for (const ViewEntry& entry : manifest.views) store.Check(entry);
+
+  ViewStore::Writer writer(store, manifest.schema);
+  // One base and one merged view serve the whole index, so their storage
+  // grows to the largest view once instead of being mapped, faulted in and
+  // zeroed again for every view.
+  ViewResult base;
+  ViewResult merged;
   for (const ViewEntry& entry : manifest.views) {
-    const ViewResult merged = MergeDeltaView(store.Load(entry), delta_cube);
+    store.Load(entry, base);
+    MergeDeltaView(base, delta_cube, AggFn::kSum, merged);
     delta_cube.views.erase(entry.id);
-    store.Save(merged);
+    writer.Write(merged);
     if (on_view) on_view(merged);
-    refreshed.views.push_back({entry.id, merged.rel.size()});
     result.merged_rows += merged.rel.size();
   }
-  store.SaveManifest(refreshed);
+  writer.Commit();
   return result;
 }
 

@@ -52,20 +52,23 @@ CubeResult ComputeDeltaCube(const Relation& delta, const Schema& schema,
                                 PartialStrategy::kPrunedPipesort);
 
 // Merges two same-width relations that are BOTH sorted lexicographically by
-// column positions `cols`, combining equal-key rows with `fn`. The general-
-// order sibling of MergeSortedAggregate (relation/aggregate.h), which only
-// handles the all-columns-ascending case — view rows are sorted by the
-// view's own order, not the canonical one, so the refresh merge needs the
-// permuted comparator. Output stays sorted by `cols`.
-Relation MergeAggregateByOrder(const Relation& a, const Relation& b,
-                               std::span<const int> cols, AggFn fn);
+// column positions `cols`, combining equal-key rows with `fn`, into `out`
+// (neither input; its storage is reused). The general-order sibling of
+// MergeSortedAggregate (relation/aggregate.h), which only handles the
+// all-columns-ascending case — view rows are sorted by the view's own
+// order, not the canonical one, so the refresh merge needs the permuted
+// comparator. Output stays sorted by `cols`.
+void MergeAggregateByOrder(const Relation& a, const Relation& b,
+                           std::span<const int> cols, AggFn fn,
+                           Relation& out);
 
-// One refreshed view: `base` merged with its counterpart in `delta_cube`
-// (a view the delta cube lacks passes through unchanged — an empty delta
-// view contributes nothing). The output keeps the BASE view's sort order
-// and selected flag; delta rows are re-sorted to it before the merge.
-ViewResult MergeDeltaView(const ViewResult& base, const CubeResult& delta_cube,
-                          AggFn fn = AggFn::kSum);
+// One refreshed view into `out` (not `base`; its storage is reused): `base`
+// merged with its counterpart in `delta_cube` (a view the delta cube lacks
+// passes through unchanged — an empty delta view contributes nothing). The
+// output keeps the BASE view's sort order and selected flag; delta rows are
+// re-sorted to it before the merge.
+void MergeDeltaView(const ViewResult& base, const CubeResult& delta_cube,
+                    AggFn fn, ViewResult& out);
 
 // The refreshed cube: MergeDeltaView over every view of `base`. `base` is
 // untouched — the result is a fresh CubeResult, immutable once handed to the
@@ -80,12 +83,16 @@ struct StoreRefreshResult {
 
 // Refreshes the cube directory of `store`, whose manifest is `manifest`, in
 // place and one view at a time: cubes `delta` once over the index's views,
-// removes the manifest, then per index entry loads the base view, merges
-// it (MergeDeltaView), rewrites its file and hands the merged view to
+// checks every indexed file (ViewStore::Check), then through one
+// ViewStore::Writer per index entry loads the base view, merges it
+// (MergeDeltaView), rewrites its file and hands the merged view to
 // `on_view`, and writes the new manifest last. Peak memory is the delta cube
-// plus one base and one merged view. The files come out byte-identical to
-// SaveCube(MergeDeltaCube(LoadCube(), ComputeDeltaCube(...))). A failure
-// midway leaves no manifest, so the directory is refused until rebuilt.
+// plus one base and one merged view, reused across views. The files come
+// out byte-identical to
+// SaveCube(MergeDeltaCube(LoadCube(), ComputeDeltaCube(...))). A damaged
+// input view fails the check and leaves the directory untouched; a failure
+// after it (a write) leaves no manifest, so the directory is refused until
+// rebuilt.
 StoreRefreshResult RefreshViewStore(
     const ViewStore& store, const CubeManifest& manifest,
     const Relation& delta,

@@ -93,6 +93,14 @@ class Relation {
     measures_.clear();
   }
 
+  // Clears the rows and sets the width, keeping the storage's capacity: a
+  // relation reused for views of any width allocates for the largest once.
+  void Reset(int width) {
+    SNCUBE_CHECK(width >= 0);
+    width_ = width;
+    Clear();
+  }
+
   // Serialized footprint in bytes: 4*width per-row keys + 8-byte measure.
   // This is the unit the paper's "Megabytes" axes and our communication
   // metrics count.

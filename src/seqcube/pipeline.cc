@@ -121,7 +121,8 @@ void EmitChain(const ScheduleTree& tree, const Relation& source,
 
 CubeResult ExecuteScheduleTree(const ScheduleTree& tree, Relation root_data,
                                AggFn fn, DiskModel* disk, ExecStats* stats,
-                               const PipelineChargeHook& on_pipeline) {
+                               const PipelineChargeHook& on_pipeline,
+                               const ViewSink& sink) {
   tree.Validate();
   const ScheduleNode& root = tree.root();
   SNCUBE_CHECK_MSG(root_data.width() == root.view.dim_count(),
@@ -147,6 +148,28 @@ CubeResult ExecuteScheduleTree(const ScheduleTree& tree, Relation root_data,
     on_pipeline(delta);
   };
 
+  // Release rule (pipeline.h): readers[i] counts node i's sort-edge children
+  // not yet sorted from it; at zero its view may leave for the sink.
+  // Collecting is the no-sink case: every view stays in `result`.
+  std::vector<int> readers(static_cast<std::size_t>(tree.size()), 0);
+  for (int i = 1; i < tree.size(); ++i) {
+    if (tree.node(i).edge == EdgeKind::kSort) ++readers[tree.node(i).parent];
+  }
+  const auto release = [&](int node) {
+    if (!sink) return;
+    const auto it = result.views.find(tree.node(node).view);
+    ViewResult view = std::move(it->second);
+    result.views.erase(it);
+    sink(std::move(view));
+  };
+  // After a pipeline: its head and scan chain, each unless a sort child
+  // still has to read it.
+  const auto release_pipeline = [&](int head) {
+    for (int node = head; node >= 0; node = tree.ScanChild(node)) {
+      if (readers[node] == 0) release(node);
+    }
+  };
+
   // Root pipeline: scan descendants fall out of the already-sorted root.
   {
     SNCUBE_TRACE_SPAN("pipe-root");
@@ -159,6 +182,7 @@ CubeResult ExecuteScheduleTree(const ScheduleTree& tree, Relation root_data,
       EmitChain(tree, src, cols_seq, ScheduleTree::kRootIndex,
                 /*include_head=*/false, fn, disk, stats, result);
     }
+    release_pipeline(ScheduleTree::kRootIndex);
     charge_pipeline(before);
   }
 
@@ -190,12 +214,15 @@ CubeResult ExecuteScheduleTree(const ScheduleTree& tree, Relation root_data,
       const auto rows = static_cast<double>(parent_rel.size());
       stats->sort_cost_units += rows * std::log2(std::max(rows, 2.0));
     }
+    if (--readers[n.parent] == 0) release(n.parent);
     EmitChain(tree, sorted, sort_cols, i, /*include_head=*/true, fn, disk,
               stats, result);
+    release_pipeline(i);
     charge_pipeline(before);
   }
 
-  SNCUBE_CHECK(static_cast<int>(result.views.size()) == tree.size());
+  SNCUBE_CHECK(static_cast<int>(result.views.size()) ==
+               (sink ? 0 : tree.size()));
   return result;
 }
 

@@ -56,6 +56,10 @@ struct ExecStats {
 // per-pipeline charging cost the same simulated time.
 using PipelineChargeHook = std::function<void(const ExecStats& delta)>;
 
+// Receives each view of the tree, auxiliaries included, once no later
+// pipeline reads it; the view is the sink's to keep or drop.
+using ViewSink = std::function<void(ViewResult view)>;
+
 // Materializes every view of `tree` from `root_data`, which must be the root
 // view's relation: canonical column layout, rows sorted by tree.root().order
 // and already aggregated (one row per distinct root key).
@@ -63,10 +67,22 @@ using PipelineChargeHook = std::function<void(const ExecStats& delta)>;
 // When `disk` is non-null, pipeline sorts run through the external-memory
 // sorter against it and view reads/writes are charged to it; otherwise
 // everything stays in memory uncharged. Stats accumulate into *stats when
-// given. The result contains every tree node (auxiliaries flagged).
+// given.
+//
+// Without a sink the result contains every tree node (auxiliaries flagged).
+// With one the result is empty: every node goes to the sink exactly once, as
+// soon as no sort-edge child is left to read it (a scan child is emitted by
+// the same pass as its parent, so it never holds a view back):
+//   - a view with no sort child right after the pipeline that emits it (the
+//     root after the root pipeline), in chain order;
+//   - a sort parent right after its last sort child has been sorted from
+//     it, before that child's chain scan, which reads the sorted copy.
+// Live memory is then the tree's frontier, not the cube. Stats, disk charges
+// and on_pipeline calls are the same with and without a sink.
 CubeResult ExecuteScheduleTree(const ScheduleTree& tree, Relation root_data,
                                AggFn fn, DiskModel* disk = nullptr,
                                ExecStats* stats = nullptr,
-                               const PipelineChargeHook& on_pipeline = {});
+                               const PipelineChargeHook& on_pipeline = {},
+                               const ViewSink& sink = {});
 
 }  // namespace sncube

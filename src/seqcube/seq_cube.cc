@@ -92,7 +92,7 @@ CubeResult SequentialPipesortCube(const Relation& raw, const Schema& schema,
 CubeResult SequentialCube(const Relation& raw, const Schema& schema,
                           const std::vector<ViewId>& selected, AggFn fn,
                           DiskModel* disk, ExecStats* stats,
-                          PartialStrategy strategy) {
+                          PartialStrategy strategy, const ViewSink& sink) {
   SNCUBE_CHECK(raw.width() == schema.dims());
   const int d = schema.dims();
   const AnalyticEstimator est(schema, static_cast<double>(raw.size()));
@@ -105,8 +105,8 @@ CubeResult SequentialCube(const Relation& raw, const Schema& schema,
         BuildPartialTree(partition, root, root.DimList(), est, strategy);
     Relation root_data =
         ComputeRootData(raw, root, root.DimList(), fn, disk, stats);
-    CubeResult part =
-        ExecuteScheduleTree(tree, std::move(root_data), fn, disk, stats);
+    CubeResult part = ExecuteScheduleTree(tree, std::move(root_data), fn,
+                                          disk, stats, {}, sink);
     for (auto& [id, vr] : part.views) {
       result.views[id] = std::move(vr);
     }

@@ -36,12 +36,16 @@ CubeResult SequentialPipesortCube(const Relation& raw, const Schema& schema,
 
 // Full or partial cube via per-partition schedule trees: `selected` may be
 // any subset of views (use AllViews(d) for the full cube). Auxiliary
-// intermediates appear in the result flagged selected = false.
+// intermediates appear in the result flagged selected = false. With a
+// `sink`, each partition's tree hands its views to it under
+// ExecuteScheduleTree's release rule, partition by partition, and the
+// result is empty.
 CubeResult SequentialCube(const Relation& raw, const Schema& schema,
                           const std::vector<ViewId>& selected,
                           AggFn fn = AggFn::kSum, DiskModel* disk = nullptr,
                           ExecStats* stats = nullptr,
                           PartialStrategy strategy =
-                              PartialStrategy::kPrunedPipesort);
+                              PartialStrategy::kPrunedPipesort,
+                          const ViewSink& sink = {});
 
 }  // namespace sncube

@@ -310,6 +310,47 @@ void DecodeWideRows(const KeyLayout& layout, const std::uint8_t* p,
   if (p != end) Corrupt("trailing bytes");
 }
 
+// Reads and checks the header into frame's id, selected flag, epoch and
+// order, and `widths`; returns the row count, bounded by the payload, and
+// leaves `reader` at the first row.
+std::uint64_t ReadHeader(WireReader& reader, ViewFrame& frame,
+                         std::vector<std::uint8_t>& widths) {
+  if (reader.Get<std::uint32_t>() != kMagic) Corrupt("bad magic");
+  if (reader.Get<std::uint32_t>() != kVersion) Corrupt("unsupported version");
+  ViewResult& vr = frame.view;
+  const auto mask = reader.Get<std::uint32_t>();
+  if ((mask >> ViewId::kMaxDims) != 0) Corrupt("mask beyond 20 dimensions");
+  vr.id = ViewId(mask);
+  const auto selected = reader.Get<std::uint8_t>();
+  if (selected > 1) Corrupt("bad selected flag");
+  vr.selected = selected == 1;
+  frame.epoch = reader.Get<std::uint64_t>();
+  const int n = reader.Get<std::uint8_t>();
+  if (n != vr.id.dim_count()) Corrupt("order length disagrees with the mask");
+  std::uint32_t seen = 0;
+  vr.order.clear();
+  for (int i = 0; i < n; ++i) {
+    const int dim = reader.Get<std::uint8_t>();
+    if (dim >= ViewId::kMaxDims || !vr.id.Contains(dim) ||
+        ((seen >> dim) & 1u) != 0) {
+      Corrupt("order is not a permutation of the view's dimensions");
+    }
+    seen |= 1u << dim;
+    vr.order.push_back(dim);
+  }
+  widths.resize(static_cast<std::size_t>(n));
+  for (std::uint8_t& w : widths) {
+    w = reader.Get<std::uint8_t>();
+    if (w > kKeyBits) Corrupt("column width above 32 bits");
+  }
+  const auto rows = reader.Get<std::uint64_t>();
+  // Bound the untrusted count by the payload before allocating for it.
+  if (rows > reader.remaining() / kMinRowBytes) {
+    Corrupt("row count exceeds the payload");
+  }
+  return rows;
+}
+
 }  // namespace
 
 ByteBuffer EncodeViewFrame(ViewId id, const std::vector<int>& order,
@@ -366,51 +407,34 @@ ByteBuffer EncodeViewFrame(const ViewResult& view, std::uint64_t epoch) {
                          {&part, 1});
 }
 
-ViewFrame DecodeViewFrame(std::span<const std::byte> bytes) {
+ViewFrameHeader DecodeViewFrameHeader(std::span<const std::byte> bytes) {
   WireReader reader(bytes);
-  if (reader.Get<std::uint32_t>() != kMagic) Corrupt("bad magic");
-  if (reader.Get<std::uint32_t>() != kVersion) Corrupt("unsupported version");
   ViewFrame frame;
+  std::vector<std::uint8_t> widths;
+  const std::uint64_t rows = ReadHeader(reader, frame, widths);
+  return {frame.view.id, frame.epoch, rows};
+}
+
+void DecodeViewFrame(std::span<const std::byte> bytes, ViewFrame& frame) {
+  WireReader reader(bytes);
+  std::vector<std::uint8_t> widths;
+  const std::uint64_t rows = ReadHeader(reader, frame, widths);
   ViewResult& vr = frame.view;
-  const auto mask = reader.Get<std::uint32_t>();
-  if ((mask >> ViewId::kMaxDims) != 0) Corrupt("mask beyond 20 dimensions");
-  vr.id = ViewId(mask);
-  const auto selected = reader.Get<std::uint8_t>();
-  if (selected > 1) Corrupt("bad selected flag");
-  vr.selected = selected == 1;
-  frame.epoch = reader.Get<std::uint64_t>();
-  const int n = reader.Get<std::uint8_t>();
-  if (n != vr.id.dim_count()) Corrupt("order length disagrees with the mask");
-  std::uint32_t seen = 0;
-  for (int i = 0; i < n; ++i) {
-    const int dim = reader.Get<std::uint8_t>();
-    if (dim >= ViewId::kMaxDims || !vr.id.Contains(dim) ||
-        ((seen >> dim) & 1u) != 0) {
-      Corrupt("order is not a permutation of the view's dimensions");
-    }
-    seen |= 1u << dim;
-    vr.order.push_back(dim);
-  }
-  std::vector<std::uint8_t> widths(static_cast<std::size_t>(n));
-  for (std::uint8_t& w : widths) {
-    w = reader.Get<std::uint8_t>();
-    if (w > kKeyBits) Corrupt("column width above 32 bits");
-  }
-  const auto rows = reader.Get<std::uint64_t>();
-  // Bound the untrusted count by the payload before allocating for it.
-  if (rows > reader.remaining() / kMinRowBytes) {
-    Corrupt("row count exceeds the payload");
-  }
   const auto payload = reader.GetBytes(reader.remaining());
   const auto* p = reinterpret_cast<const std::uint8_t*>(payload.data());
   const KeyLayout layout(ColumnsOf(vr.id, vr.order), widths);
-  vr.rel = Relation(n);
+  vr.rel.Reset(vr.id.dim_count());
   vr.rel.Resize(static_cast<std::size_t>(rows));
   if (layout.narrow()) {
     DecodeNarrowRows(layout, p, p + payload.size(), vr.rel);
   } else {
     DecodeWideRows(layout, p, p + payload.size(), vr.rel);
   }
+}
+
+ViewFrame DecodeViewFrame(std::span<const std::byte> bytes) {
+  ViewFrame frame;
+  DecodeViewFrame(bytes, frame);
   return frame;
 }
 

@@ -55,5 +55,18 @@ ByteBuffer EncodeViewFrame(const ViewResult& view, std::uint64_t epoch);
 
 // Decodes and checks a frame; see the file comment for what it rejects.
 ViewFrame DecodeViewFrame(std::span<const std::byte> bytes);
+// The same into `frame`, whose relation and order keep their capacity: a
+// caller decoding view after view into one frame allocates for the largest
+// once.
+void DecodeViewFrame(std::span<const std::byte> bytes, ViewFrame& frame);
+
+// What a frame's header says, checked as DecodeViewFrame checks it (the row
+// count bounded by the payload); the rows themselves are not read.
+struct ViewFrameHeader {
+  ViewId id;
+  std::uint64_t epoch = 0;
+  std::uint64_t rows = 0;
+};
+ViewFrameHeader DecodeViewFrameHeader(std::span<const std::byte> bytes);
 
 }  // namespace sncube

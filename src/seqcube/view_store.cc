@@ -137,10 +137,60 @@ CubeManifest ParseManifest(std::string_view text) {
   return manifest;
 }
 
+// The checks a frame read through an index entry must pass beyond its own.
+void CheckAgainstEntry(const std::string& name, ViewId id,
+                       std::uint64_t epoch, std::uint64_t rows,
+                       const ViewEntry& entry) {
+  if (id != entry.id) {
+    throw SncubeCorruptionError(name + " holds a different view");
+  }
+  if (epoch != 0) {
+    throw SncubeCorruptionError(name + " is a snapshot frame of epoch " +
+                                std::to_string(epoch));
+  }
+  if (rows != entry.rows) {
+    throw SncubeCorruptionError(name + " holds " + std::to_string(rows) +
+                                " rows; the manifest says " +
+                                std::to_string(entry.rows));
+  }
+}
+
 }  // namespace
 
 ViewStore::ViewStore(std::filesystem::path dir) : dir_(std::move(dir)) {
   std::filesystem::create_directories(dir_);
+}
+
+ViewStore::Writer::Writer(const ViewStore& store, Schema schema)
+    : store_(store), manifest_{std::move(schema), {}} {
+  std::filesystem::remove(store_.dir_ / kManifestName);
+}
+
+void ViewStore::Writer::Write(const ViewResult& view) {
+  if (!view.selected) return;
+  const Relation* part = &view.rel;
+  Write(view.id, view.order, {&part, 1});
+}
+
+void ViewStore::Writer::Write(ViewId id, const std::vector<int>& order,
+                              std::span<const Relation* const> parts) {
+  std::uint64_t rows = 0;
+  for (const Relation* rel : parts) rows += rel->size();
+  WriteSealedFile(store_.PathFor(id),
+                  EncodeViewFrame(id, order, /*selected=*/true, /*epoch=*/0,
+                                  parts),
+                  disk_);
+  manifest_.views.push_back({id, rows});
+}
+
+void ViewStore::Writer::Commit() {
+  std::vector<ViewEntry>& views = manifest_.views;
+  std::sort(views.begin(), views.end(),
+            [](const ViewEntry& a, const ViewEntry& b) { return a.id < b.id; });
+  for (std::size_t i = 1; i < views.size(); ++i) {
+    SNCUBE_CHECK_MSG(views[i - 1].id < views[i].id, "view written twice");
+  }
+  store_.SaveManifest(manifest_);
 }
 
 std::filesystem::path ViewStore::PathFor(ViewId id) const {
@@ -182,10 +232,6 @@ void ViewStore::SaveManifest(const CubeManifest& manifest) const {
   std::filesystem::rename(tmp, path);
 }
 
-void ViewStore::RemoveManifest() const {
-  std::filesystem::remove(dir_ / kManifestName);
-}
-
 CubeManifest ViewStore::LoadManifest() const {
   const auto path = dir_ / kManifestName;
   std::ifstream in(path, std::ios::binary);
@@ -199,66 +245,60 @@ CubeManifest ViewStore::LoadManifest() const {
   return ParseManifest(text);
 }
 
-void ViewStore::Save(const ViewResult& view) const {
-  // The cube directory is not on a simulated rank's disk: the model only
-  // carries the sealed-file calls' charges, and nothing reads them.
-  DiskModel disk;
-  WriteSealedFile(PathFor(view.id), EncodeViewFrame(view, /*epoch=*/0), disk);
-}
-
 void ViewStore::SaveCubeParts(std::span<const CubeResult> parts,
                               const Schema& schema) const {
   SNCUBE_CHECK(!parts.empty());
-  RemoveManifest();
-  CubeManifest manifest{schema, IndexOf(parts[0])};
+  Writer writer(*this, schema);
   std::vector<const Relation*> rels(parts.size());
-  DiskModel disk;
-  for (ViewEntry& entry : manifest.views) {
-    const ViewResult& first = parts[0].views.at(entry.id);
-    entry.rows = 0;
+  for (const auto& [id, first] : parts[0].views) {
+    if (!first.selected) continue;
     for (std::size_t r = 0; r < parts.size(); ++r) {
-      const auto it = parts[r].views.find(entry.id);
+      const auto it = parts[r].views.find(id);
       SNCUBE_CHECK_MSG(it != parts[r].views.end() && it->second.selected &&
                            it->second.order == first.order,
                        "cube parts disagree on a view");
       rels[r] = &it->second.rel;
-      entry.rows += rels[r]->size();
     }
-    WriteSealedFile(PathFor(entry.id),
-                    EncodeViewFrame(entry.id, first.order, /*selected=*/true,
-                                    /*epoch=*/0, rels),
-                    disk);
+    writer.Write(id, first.order, rels);
   }
-  SaveManifest(manifest);
+  writer.Commit();
 }
 
 void ViewStore::SaveCube(const CubeResult& cube, const Schema& schema) const {
   SaveCubeParts({&cube, 1}, schema);
 }
 
-ViewResult ViewStore::Load(const ViewEntry& entry) const {
+void ViewStore::Load(const ViewEntry& entry, ViewResult& view) const {
   const auto path = PathFor(entry.id);
   const std::string name = path.filename().string();
   DiskModel disk;
-  ViewFrame frame;
+  ViewFrame frame{0, std::move(view)};
   try {
-    frame = DecodeViewFrame(ReadSealedFile(path, disk));
+    DecodeViewFrame(ReadSealedFile(path, disk), frame);
   } catch (const SncubeCorruptionError& e) {
     throw SncubeCorruptionError(name + ": " + e.what());
   }
-  if (frame.view.id != entry.id) {
-    throw SncubeCorruptionError(name + " holds a different view");
+  view = std::move(frame.view);
+  CheckAgainstEntry(name, view.id, frame.epoch, view.rel.size(), entry);
+}
+
+ViewResult ViewStore::Load(const ViewEntry& entry) const {
+  ViewResult view;
+  Load(entry, view);
+  return view;
+}
+
+void ViewStore::Check(const ViewEntry& entry) const {
+  const auto path = PathFor(entry.id);
+  const std::string name = path.filename().string();
+  DiskModel disk;
+  ViewFrameHeader header;
+  try {
+    header = DecodeViewFrameHeader(ReadSealedFile(path, disk));
+  } catch (const SncubeCorruptionError& e) {
+    throw SncubeCorruptionError(name + ": " + e.what());
   }
-  if (frame.epoch != 0) {
-    throw SncubeCorruptionError(name + " is a snapshot frame of epoch " +
-                                std::to_string(frame.epoch));
-  }
-  if (frame.view.rel.size() != entry.rows) {
-    throw SncubeCorruptionError(
-        name + " holds " + std::to_string(frame.view.rel.size()) +
-        " rows; the manifest says " + std::to_string(entry.rows));
-  }
-  return std::move(frame.view);
+  CheckAgainstEntry(name, header.id, header.epoch, header.rows, entry);
 }
 
 bool ViewStore::Contains(ViewId id) const {

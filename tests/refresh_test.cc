@@ -112,19 +112,24 @@ TEST(DeltaMerge, MergeAggregateByOrderMergesAndCombines) {
     b.Append(r0, 5);
     b.Append(r1, 1);
   }
-  const Relation sum = MergeAggregateByOrder(a, b, cols, AggFn::kSum);
-  ASSERT_EQ(sum.size(), 4u);
-  EXPECT_EQ(sum.RowKeys(0)[0], 5u);
-  EXPECT_EQ(sum.measure(0), 10);
-  EXPECT_EQ(sum.RowKeys(2)[0], 2u);
-  EXPECT_EQ(sum.measure(2), 35);  // 30 + 5 combined
-  EXPECT_EQ(sum.RowKeys(3)[1], 7u);
-  EXPECT_EQ(sum.measure(3), 1);
+  // One output serves every merge; it starts at another width with a stale
+  // row, which the merge replaces.
+  Relation out(3);
+  out.Append(std::vector<Key>{9, 9, 9}, 99);
+  MergeAggregateByOrder(a, b, cols, AggFn::kSum, out);
+  ASSERT_EQ(out.width(), 2);
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(out.RowKeys(0)[0], 5u);
+  EXPECT_EQ(out.measure(0), 10);
+  EXPECT_EQ(out.RowKeys(2)[0], 2u);
+  EXPECT_EQ(out.measure(2), 35);  // 30 + 5 combined
+  EXPECT_EQ(out.RowKeys(3)[1], 7u);
+  EXPECT_EQ(out.measure(3), 1);
 
-  const Relation mn = MergeAggregateByOrder(a, b, cols, AggFn::kMin);
-  EXPECT_EQ(mn.measure(2), 5);
-  const Relation mx = MergeAggregateByOrder(a, b, cols, AggFn::kMax);
-  EXPECT_EQ(mx.measure(2), 30);
+  MergeAggregateByOrder(a, b, cols, AggFn::kMin, out);
+  EXPECT_EQ(out.measure(2), 5);
+  MergeAggregateByOrder(a, b, cols, AggFn::kMax, out);
+  EXPECT_EQ(out.measure(2), 30);
 }
 
 TEST(DeltaMerge, RefreshedCubeEqualsFullRebuildOnEveryView) {

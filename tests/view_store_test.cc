@@ -47,10 +47,17 @@ ViewResult MakeView(ViewId id, std::vector<int> order, int rows) {
   return vr;
 }
 
+// Writes one view (and a one-entry index) through a writer.
+void SaveView(const ViewStore& store, const ViewResult& view) {
+  ViewStore::Writer writer(store, Schema({16, 8, 4}));
+  writer.Write(view);
+  writer.Commit();
+}
+
 TEST_F(ViewStoreTest, SaveLoadRoundTrip) {
   ViewStore store(dir_);
   const ViewResult original = MakeView(ViewId::FromDims({0, 2}), {2, 0}, 50);
-  store.Save(original);
+  SaveView(store, original);
   ASSERT_TRUE(store.Contains(original.id));
   const ViewResult back = store.Load({original.id, original.rel.size()});
   EXPECT_EQ(back.id, original.id);
@@ -103,25 +110,32 @@ TEST_F(ViewStoreTest, AuxViewsNotPersisted) {
   store.SaveCube(cube, Schema({4, 2}));
   EXPECT_EQ(store.LoadManifest().views.size(), 1u);
   EXPECT_FALSE(store.Contains(ViewId::FromDims({1})));
+  // The writer skips an auxiliary handed to it.
+  ViewStore::Writer writer(store, Schema({4, 2}));
+  writer.Write(cube.views.at(ViewId::FromDims({1})));
+  writer.Commit();
+  EXPECT_TRUE(store.LoadManifest().views.empty());
+  EXPECT_FALSE(store.Contains(ViewId::FromDims({1})));
 }
 
 TEST_F(ViewStoreTest, OverwriteReplacesContent) {
   ViewStore store(dir_);
-  store.Save(MakeView(ViewId::FromDims({0}), {0}, 10));
-  store.Save(MakeView(ViewId::FromDims({0}), {0}, 3));
+  SaveView(store, MakeView(ViewId::FromDims({0}), {0}, 10));
+  SaveView(store, MakeView(ViewId::FromDims({0}), {0}, 3));
   EXPECT_EQ(store.Load({ViewId::FromDims({0}), 3}).rel.size(), 3u);
 }
 
 TEST_F(ViewStoreTest, MissingViewThrows) {
   ViewStore store(dir_);
   EXPECT_THROW(store.Load({ViewId::FromDims({0}), 0}), SncubeError);
+  EXPECT_THROW(store.Check({ViewId::FromDims({0}), 0}), SncubeIoError);
   EXPECT_THROW(store.LoadManifest(), SncubeIoError);
 }
 
 TEST_F(ViewStoreTest, CorruptFileRejected) {
   ViewStore store(dir_);
   const ViewId id = ViewId::FromDims({0, 1});
-  store.Save(MakeView(id, {0, 1}, 5));
+  SaveView(store, MakeView(id, {0, 1}, 5));
   // Truncate the file.
   const auto path = dir_ / "v00003.sncv";
   ASSERT_TRUE(std::filesystem::exists(path));
@@ -165,8 +179,14 @@ TEST_F(ViewStoreTest, IndexRoundTrips) {
   store.SaveManifest(manifest);
   EXPECT_EQ(ReadText(dir_ / "manifest.txt"), bytes);
   EXPECT_FALSE(std::filesystem::exists(dir_ / "manifest.txt.tmp"));
+  // One view reused for every load, whatever its width.
+  ViewResult reused;
   for (const ViewEntry& entry : manifest.views) {
-    EXPECT_EQ(store.Load(entry).rel, cube.views.at(entry.id).rel);
+    EXPECT_NO_THROW(store.Check(entry));
+    store.Load(entry, reused);
+    EXPECT_EQ(reused.id, entry.id);
+    EXPECT_EQ(reused.order, cube.views.at(entry.id).order);
+    EXPECT_EQ(reused.rel, cube.views.at(entry.id).rel);
   }
 }
 
@@ -200,6 +220,30 @@ TEST_F(ViewStoreTest, ManifestIsWrittenLast) {
   std::filesystem::remove(dir_ / "v00002.sncv");
   store.SaveCube(cube, schema);
   EXPECT_EQ(store.LoadManifest().views, IndexOf(cube));
+}
+
+TEST_F(ViewStoreTest, WriterLeavesNoManifestUntilCommit) {
+  ViewStore store(dir_);
+  Schema schema;
+  const CubeResult cube = SaveSmallCube(store, &schema);
+  ASSERT_TRUE(std::filesystem::exists(dir_ / "manifest.txt"));
+  {
+    ViewStore::Writer writer(store, schema);
+    EXPECT_FALSE(std::filesystem::exists(dir_ / "manifest.txt"));
+    for (const auto& [id, vr] : cube.views) {
+      writer.Write(vr);
+      EXPECT_FALSE(std::filesystem::exists(dir_ / "manifest.txt"));
+    }
+  }  // dropped without Commit, as by a build that failed midway
+  EXPECT_THROW(store.LoadManifest(), SncubeIoError);
+  EXPECT_THROW(store.LoadCube(), SncubeIoError);
+
+  // A view written twice fails at Commit, which writes no manifest.
+  ViewStore::Writer twice(store, schema);
+  twice.Write(cube.views.begin()->second);
+  twice.Write(cube.views.begin()->second);
+  EXPECT_THROW(twice.Commit(), SncubeError);
+  EXPECT_THROW(store.LoadManifest(), SncubeIoError);
 }
 
 TEST_F(ViewStoreTest, MalformedManifestsThrowCorruption) {
@@ -293,6 +337,7 @@ TEST_F(ViewStoreTest, ViewDisagreeingWithItsEntryThrowsCorruption) {
   manifest.views[1].rows += 1;
   store.SaveManifest(manifest);
   EXPECT_THROW(store.Load(manifest.views[1]), SncubeCorruptionError);
+  EXPECT_THROW(store.Check(manifest.views[1]), SncubeCorruptionError);
   EXPECT_THROW(store.LoadCube(), SncubeCorruptionError);
 
   // A file holding another view of the same width under the entry's name.
@@ -300,56 +345,73 @@ TEST_F(ViewStoreTest, ViewDisagreeingWithItsEntryThrowsCorruption) {
   std::filesystem::copy_file(dir_ / "v00001.sncv", dir_ / "v00002.sncv",
                              std::filesystem::copy_options::overwrite_existing);
   EXPECT_THROW(store.LoadCube(), SncubeCorruptionError);
+  EXPECT_THROW(store.Check(store.LoadManifest().views[2]),
+               SncubeCorruptionError);
 }
 
 TEST_F(ViewStoreTest, RankPartsWriteTheConcatenatedView) {
-  // Two "ranks" each holding part of every view: the parts writer must
-  // produce the bytes SaveCube writes for the concatenated cube.
+  // The writer, handed whole views one at a time in descending mask order
+  // (a stream is in no mask order), and SaveCubeParts, handed the same cube
+  // as 1 to 4 "ranks" each holding part of every view, must write the same
+  // directory bytes.
+  DatasetSpec spec;
+  spec.rows = 500;
+  spec.cardinalities = {8, 4, 2};
+  const Schema schema = spec.MakeSchema();
+  const CubeResult cube =
+      SequentialCube(GenerateDataset(spec), schema, AllViews(3));
   ViewStore whole(dir_ / "whole");
-  Schema schema;
-  const CubeResult cube = SaveSmallCube(whole, &schema);
-  std::vector<CubeResult> parts(2);
-  for (const auto& [id, vr] : cube.views) {
-    if (!vr.selected) continue;
-    const std::size_t half = vr.rel.size() / 2;
-    for (int r = 0; r < 2; ++r) {
-      ViewResult part;
-      part.id = id;
-      part.order = vr.order;
-      part.rel = Relation(vr.rel.width());
-      for (std::size_t i = r == 0 ? 0 : half;
-           i < (r == 0 ? half : vr.rel.size()); ++i) {
-        part.rel.AppendRow(vr.rel, i);
+  ViewStore::Writer writer(whole, schema);
+  for (auto it = cube.views.rbegin(); it != cube.views.rend(); ++it) {
+    writer.Write(it->second);
+  }
+  writer.Commit();
+  for (std::size_t k = 1; k <= 4; ++k) {
+    std::vector<CubeResult> parts(k);
+    for (const auto& [id, vr] : cube.views) {
+      for (std::size_t r = 0; r < k; ++r) {
+        ViewResult part;
+        part.id = id;
+        part.order = vr.order;
+        part.rel = Relation(vr.rel.width());
+        for (std::size_t i = vr.rel.size() * r / k;
+             i < vr.rel.size() * (r + 1) / k; ++i) {
+          part.rel.AppendRow(vr.rel, i);
+        }
+        parts[r].views[id] = std::move(part);
       }
-      parts[static_cast<std::size_t>(r)].views[id] = std::move(part);
+    }
+    ViewStore split(dir_ / ("split" + std::to_string(k)));
+    split.SaveCubeParts(parts, schema);
+    std::size_t files = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(dir_ / "whole")) {
+      const auto name = entry.path().filename();
+      EXPECT_EQ(ReadText(entry.path()), ReadText(split.dir() / name))
+          << k << " parts: " << name;
+      ++files;
+    }
+    EXPECT_EQ(files, IndexOf(cube).size() + 1);
+
+    // Parts that disagree on a view's sort order are refused.
+    if (k > 1) {
+      parts[1].views.begin()->second.order = {9};
+      EXPECT_THROW(split.SaveCubeParts(parts, schema), SncubeError);
     }
   }
-  ViewStore split(dir_ / "split");
-  split.SaveCubeParts(parts, schema);
-  std::size_t files = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_ / "whole")) {
-    const auto name = entry.path().filename();
-    EXPECT_EQ(ReadText(entry.path()), ReadText(dir_ / "split" / name)) << name;
-    ++files;
-  }
-  EXPECT_EQ(files, IndexOf(cube).size() + 1);
-
-  // Parts that disagree on a view's sort order are refused.
-  parts[1].views.begin()->second.order = {9};
-  EXPECT_THROW(split.SaveCubeParts(parts, schema), SncubeError);
 }
 
 TEST_F(ViewStoreTest, EmptyViewPersists) {
   ViewStore store(dir_);
-  store.Save(MakeView(ViewId::Empty(), {}, 0));
+  SaveView(store, MakeView(ViewId::Empty(), {}, 0));
   const ViewResult back = store.Load({ViewId::Empty(), 0});
   EXPECT_EQ(back.rel.size(), 0u);
   EXPECT_EQ(back.rel.width(), 0);
 }
 
 // Every byte of every view file is covered by the seal: a flipped byte or a
-// truncation anywhere is a typed error from Load and LoadCube, never a
-// changed answer.
+// truncation anywhere is a typed error from Load, Check and LoadCube, never
+// a changed answer.
 TEST_F(ViewStoreTest, EveryFlippedByteAndTruncationOfAViewFileThrows) {
   ViewStore store(dir_);
   Schema schema;
@@ -366,6 +428,7 @@ TEST_F(ViewStoreTest, EveryFlippedByteAndTruncationOfAViewFileThrows) {
                                     const std::string& what) {
       WriteText(path, bytes);
       EXPECT_THROW(store.Load(entry), SncubeCorruptionError) << name << what;
+      EXPECT_THROW(store.Check(entry), SncubeCorruptionError) << name << what;
       EXPECT_THROW(store.LoadCube(), SncubeCorruptionError) << name << what;
       ++cases;
     };
@@ -381,6 +444,7 @@ TEST_F(ViewStoreTest, EveryFlippedByteAndTruncationOfAViewFileThrows) {
     }
     WriteText(path, good);
     EXPECT_EQ(store.Load(entry).rel.size(), entry.rows);
+    EXPECT_NO_THROW(store.Check(entry));
   }
   EXPECT_GT(cases, 1000u);
 }
@@ -394,6 +458,7 @@ TEST_F(ViewStoreTest, SnapshotFrameInTheCubeDirectoryIsRefused) {
   WriteSealedFile(dir_ / "v00001.sncv",
                   EncodeViewFrame(cube.views.at(entry.id), /*epoch=*/3), disk);
   EXPECT_THROW(store.Load(entry), SncubeCorruptionError);
+  EXPECT_THROW(store.Check(entry), SncubeCorruptionError);
 }
 
 // ---------------------------------------------------------------------------
@@ -476,15 +541,21 @@ ByteBuffer EncodeRandomParts(Rng& rng, const ViewResult& vr,
 TEST(ViewFrame, RandomViewsRoundTripAndPartsMatchTheWhole) {
   Rng rng(2024);
   int wide = 0;
+  // One frame decoded into on every trial, whatever the width.
+  ViewFrame back;
   for (int trial = 0; trial < 400; ++trial) {
     const int dims = trial % (ViewId::kMaxDims + 1);
     const std::size_t max_rows = trial % 7 == 0 ? 1 : 300;
     const ViewResult vr = RandomView(rng, dims, max_rows);
     const std::uint64_t epoch = rng.Next();
     const ByteBuffer frame = EncodeViewFrame(vr, epoch);
-    const ViewFrame back = DecodeViewFrame(frame);
+    DecodeViewFrame(frame, back);
     EXPECT_EQ(back.epoch, epoch) << trial;
     ExpectSameView(back.view, vr);
+    const ViewFrameHeader header = DecodeViewFrameHeader(frame);
+    EXPECT_EQ(header.id, vr.id) << trial;
+    EXPECT_EQ(header.epoch, epoch) << trial;
+    EXPECT_EQ(header.rows, vr.rel.size()) << trial;
     std::vector<Relation> storage;
     EXPECT_EQ(EncodeRandomParts(rng, vr, epoch, storage), frame) << trial;
 
@@ -598,19 +669,26 @@ TEST(ViewFrame, ReaderRejectsEveryMalformedFrame) {
   const auto rejects = [](const ByteBuffer& frame, const char* what) {
     EXPECT_THROW(DecodeViewFrame(frame), SncubeCorruptionError) << what;
   };
+  // Damage inside the header: the header reader refuses it as well.
+  const auto rejects_header = [&](const ByteBuffer& frame, const char* what) {
+    rejects(frame, what);
+    EXPECT_THROW(DecodeViewFrameHeader(frame), SncubeCorruptionError) << what;
+  };
   ByteBuffer bad = good;
   bad[0] ^= std::byte{1};
-  rejects(bad, "bad magic");
+  rejects_header(bad, "bad magic");
   bad = good;
   bad[4] = std::byte{2};
-  rejects(bad, "unknown version");
+  rejects_header(bad, "unknown version");
   bad = good;
   bad[12] = std::byte{2};
-  rejects(bad, "selected flag");
-  rejects(HandFrame({1, 1}, 2, {1, 10, 1, 1}, {0, 0}), "repeated dimension");
-  rejects(HandFrame({1, 1}, 2, {1, 10, 1, 1}, {0, 2}), "dimension off mask");
-  rejects(HandFrame({1}, 2, {1, 10, 1, 1}, {0}), "order too short");
-  rejects(HandFrame({33, 1}, 2, {1, 10, 1, 1}), "width above 32");
+  rejects_header(bad, "selected flag");
+  rejects_header(HandFrame({1, 1}, 2, {1, 10, 1, 1}, {0, 0}),
+                 "repeated dimension");
+  rejects_header(HandFrame({1, 1}, 2, {1, 10, 1, 1}, {0, 2}),
+                 "dimension off mask");
+  rejects_header(HandFrame({1}, 2, {1, 10, 1, 1}, {0}), "order too short");
+  rejects_header(HandFrame({33, 1}, 2, {1, 10, 1, 1}), "width above 32");
   rejects(HandFrame({1, 1}, 2, {0x81, 0x00, 10, 1, 1}), "overlong varint");
   rejects(HandFrame({8, 8}, 2, {0x81, 0x00, 10, 1, 1}), "non-minimal varint");
   rejects(HandFrame({1, 1}, 2, {1, 10, 0, 1}), "key does not increase");
@@ -618,15 +696,19 @@ TEST(ViewFrame, ReaderRejectsEveryMalformedFrame) {
   rejects(HandFrame({1, 1}, 3, {1, 10, 1, 1}), "fewer rows than recorded");
   rejects(HandFrame({1, 1}, 1, {1, 10, 1, 1}), "trailing bytes");
   rejects(HandFrame({1, 1}, 2, {1, 10, 1, 1, 0}), "one trailing byte");
-  rejects(HandFrame({1, 1}, 1u << 20, {1, 10, 1, 1}), "huge row count");
+  rejects_header(HandFrame({1, 1}, 1u << 20, {1, 10, 1, 1}),
+                 "huge row count");
   rejects(HandFrame({1, 1}, 2,
                     {1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
                      0x02, 1, 1}),
           "measure beyond 64 bits");
   rejects(HandFrame({1, 1}, 2, {1, 10, 1}), "truncated row");
+  // The payload holds exactly its two smallest rows, so every cut of it
+  // leaves fewer bytes than the recorded row count needs.
   for (std::size_t n = 0; n < good.size(); ++n) {
-    rejects(ByteBuffer(good.begin(), good.begin() + static_cast<long>(n)),
-            "truncated frame");
+    rejects_header(
+        ByteBuffer(good.begin(), good.begin() + static_cast<long>(n)),
+        "truncated frame");
   }
 }
 

@@ -16,13 +16,17 @@
    to rebuild. Unknown flags (`query --wher`, `build --backend`/`--proc`),
    malformed or out-of-range numbers of `build`, `generate`, `serve` and
    `chaos` (comma lists included), and flags the chosen mode would ignore
-   (`serve --retries` at one shard, `chaos --shards` without `--serve`)
+   (`serve --retries` at one shard, `chaos --shards` without `--serve`,
+   `build --gamma`/`--local-trees` at one processor)
    are usage errors too, with nothing on stdout and no output written.
 6. `refresh --snapshot-dir` commits epochs 1 and 2, each with one snapshot
    file per view of the cube's index, while the view-by-view rewrite of
    the cube directory still answers right.
 7. One flipped byte in the view file a query routes to makes `query` exit
-   nonzero with nothing on stdout, and `refresh` exit nonzero.
+   nonzero with nothing on stdout, and `refresh` exit nonzero. One flipped
+   byte in the last view in mask order makes `refresh` exit 1 before it
+   rewrites anything: the manifest and every other view file keep their
+   bytes, and every check query answers byte-identically to before.
 """
 
 import argparse
@@ -182,7 +186,9 @@ def check_usage_errors(binary, tmp, cube):
              (["info", "--cube", cube, "--json"], "--json"),
              (build + ["--backend", "hash"], "--backend"),
              (build + ["--proc", "2"], "--proc"),
-             (build + ["--views", "2", "--fraction", "0.5"], "--views")]
+             (build + ["--views", "2", "--fraction", "0.5"], "--views"),
+             (build + ["--local-trees"], "--local-trees"),
+             (build + ["--gamma", "0.1"], "--gamma")]
     # facts.csv has d = 2, so --views is at most 4.
     for flag, value in (("--procs", "2x"), ("--procs", "0"), ("--procs", ""),
                         ("--threads-per-rank", "2junk"),
@@ -190,9 +196,10 @@ def check_usage_errors(binary, tmp, cube):
                         ("--views", "-3"), ("--views", "0"),
                         ("--views", "5"), ("--fraction", "0.5x"),
                         ("--fraction", "0"), ("--fraction", "1.5"),
-                        ("--fraction", "nan"), ("--gamma", "abc"),
-                        ("--gamma", "-0.1"), ("--gamma", "inf")):
+                        ("--fraction", "nan")):
         calls.append((build + [flag, value], flag))
+    for value in ("abc", "-0.1", "inf"):
+        calls.append((build + ["--procs", "2", "--gamma", value], "--gamma"))
     gen_out = tmp / "refused.csv"
     generate = ["generate", "--rows", "10", "--cards", "4,3", "--out", gen_out]
     for flag, value in (("--rows", "10x"), ("--rows", "0"), ("--rows", "-5"),
@@ -298,6 +305,46 @@ def check_flipped_byte_refused(binary, tmp):
                              f"{out.stdout!r}")
 
 
+def check_damaged_view_keeps_the_directory(binary, tmp):
+    """Refresh checks every indexed file before it rewrites the first, so
+    damage in the last view in mask order costs nothing else."""
+    cube = tmp / "cube_damaged"
+    out = run(binary, "build", "--in", tmp / "facts.csv", "--out", cube)
+    if out.returncode != 0:
+        raise AssertionError(f"build failed: {out.stderr}")
+    queries = [["--group-by", dim, "--json"] for dim in ("D0", "D1", "")]
+
+    def answer(q):
+        out = run(binary, "query", "--cube", cube, *q)
+        if out.returncode != 0:
+            raise AssertionError(f"query {q}: exit {out.returncode}")
+        record = json.loads(out.stdout)
+        del record["wall_s"]  # the one field that is not the answer
+        return record
+
+    answers = [answer(q) for q in queries]
+    lines = (cube / "manifest.txt").read_text().splitlines()
+    d = int(lines[1])
+    entries = lines[3 + d:3 + d + int(lines[2 + d])]
+    view = cube / f"{entries[-1].split()[0]}.sncv"
+    data = bytearray(view.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    view.write_bytes(bytes(data))
+    before = dir_bytes(cube)
+    out = run(binary, "refresh", "--cube", cube, "--delta", tmp / "delta.csv")
+    if out.returncode != 1 or view.name not in out.stderr:
+        raise AssertionError(f"refresh over a damaged {view.name}: exit "
+                             f"{out.returncode}, stderr {out.stderr!r}")
+    if dir_bytes(cube) != before:
+        raise AssertionError("a refresh refused for a damaged view changed "
+                             "the cube directory")
+    for q, want in zip(queries, answers):
+        got = answer(q)
+        if got != want:
+            raise AssertionError(f"query {q} after the refused refresh gave "
+                                 f"{got}, expected {want}")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--binary", required=True)
@@ -337,6 +384,7 @@ def main():
         check_query_flags(binary, tmp / "cube_crlf")
         check_usage_errors(binary, tmp, tmp / "cube_crlf")
         check_flipped_byte_refused(binary, tmp)
+        check_damaged_view_keeps_the_directory(binary, tmp)
         check_old_formats_refused(binary, tmp / "cube_crlf")
     print("cli_csv_test: ok")
     return 0

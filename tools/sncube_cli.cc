@@ -46,6 +46,7 @@
 #include "common/timer.h"
 #include "core/parallel_cube.h"
 #include "data/generator.h"
+#include "exec/task_pool.h"
 #include "lattice/lattice.h"
 #include "net/cluster.h"
 #include "obs/export.h"
@@ -107,8 +108,10 @@ constexpr const char* kHelpText =
     "                       (default 1 = serial; cube bytes identical for any W)\n"
     "  --views N            build only the N greedy-selected views\n"
     "  --fraction F         build the greedy-selected fraction F of views\n"
-    "  --gamma G            merge threshold gamma (Merge-Partitions case 3)\n"
+    "  --gamma G            merge threshold gamma (Merge-Partitions case 3;\n"
+    "                       needs --procs >= 2)\n"
     "  --local-trees        per-rank lattice trees + FM-sketch estimator\n"
+    "                       (needs --procs >= 2)\n"
     "  --checkpoint-dir DIR save per-partition checkpoints; rerun with the\n"
     "                       same DIR to resume after a failure (needs --procs >= 2)\n"
     "  --fault-plan SPEC    inject faults, e.g.\n"
@@ -398,6 +401,11 @@ int CmdBuild(const Args& args) {
       Usage("--fraction must be in (0, 1]");
     }
   }
+  // Merge-Partitions and per-rank trees need two or more processors; the
+  // one-processor build would ignore them.
+  if (p == 1) {
+    RefuseFlags(args, {"gamma", "local-trees"}, "requires --procs >= 2");
+  }
   ParallelCubeOptions opts;
   if (const auto text = args.Get("gamma")) {
     opts.gamma_merge = ParseFlagReal("--gamma", *text);
@@ -472,18 +480,25 @@ int CmdBuild(const Args& args) {
   // Tracing needs the simulated clock, which only exists on the Cluster
   // path — so a traced single-processor build runs as a 1-rank cluster
   // (BuildParallelCube at p == 1 produces the same views as SequentialCube).
-  // The exec pool likewise lives on rank threads, so --threads-per-rank > 1
-  // also takes the cluster path.
   const bool traced = trace_out.has_value() || summary_out.has_value();
 
   WallTimer timer;
   std::uint64_t rows_total = 0;
-  if (p == 1 && !traced && threads_per_rank == 1) {
-    const CubeResult cube = SequentialCube(raw, schema, selected);
-    ViewStore store(out);
-    // Drop auxiliaries when persisting.
-    store.SaveCube(cube, schema);
-    rows_total = cube.TotalRows();
+  if (p == 1 && !traced) {
+    // Streamed build: each view is written, and freed, as soon as the last
+    // pipeline that reads it has run, so the peak is the input plus the
+    // schedule tree's live frontier, not the cube. The kernels find the
+    // pool (inert at W = 1) through exec::CurrentPool(), as on a rank
+    // thread.
+    exec::TaskPool pool(threads_per_rank);
+    const exec::PoolScope pool_scope(&pool);
+    ViewStore::Writer writer(ViewStore(out), schema);
+    SequentialCube(raw, schema, selected, AggFn::kSum, nullptr, nullptr,
+                   PartialStrategy::kPrunedPipesort, [&](ViewResult view) {
+                     if (view.selected) rows_total += view.rel.size();
+                     writer.Write(view);
+                   });
+    writer.Commit();
   } else {
     // Simulated shared-nothing build.
     Cluster cluster(p);
