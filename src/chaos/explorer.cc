@@ -90,8 +90,8 @@ FaultPlan RandomPlan(Rng& rng, int procs) {
 }
 
 ChaosTrial::ChaosTrial(const ChaosOptions& opts, int procs)
-    : opts_(opts), procs_(procs) {
-  if (opts_.scratch_dir.empty()) {
+    : opts_(opts), procs_(procs), owns_scratch_(opts_.scratch_dir.empty()) {
+  if (owns_scratch_) {
     opts_.scratch_dir =
         (std::filesystem::temp_directory_path() /
          ("sncube_chaos_" + std::to_string(::getpid())))
@@ -101,6 +101,11 @@ ChaosTrial::ChaosTrial(const ChaosOptions& opts, int procs)
   // every trial's completed cube is compared against.
   const auto abort_reason = BuildOnce(FaultPlan{}, "", &golden_);
   SNCUBE_CHECK(!abort_reason.has_value());
+}
+
+ChaosTrial::~ChaosTrial() {
+  std::error_code ec;
+  if (owns_scratch_) std::filesystem::remove_all(opts_.scratch_dir, ec);
 }
 
 std::optional<std::string> ChaosTrial::BuildOnce(const FaultPlan& plan,

@@ -53,7 +53,8 @@ struct ChaosOptions {
   // the explorer finding and shrinking a real integrity bug.
   bool verify_restore = true;
   // Scratch root for per-trial checkpoint directories; empty uses a
-  // pid-qualified directory under the system temp path.
+  // pid-qualified directory under the system temp path, removed with the
+  // trial.
   std::string scratch_dir;
   // Progress lines to stderr.
   bool verbose = false;
@@ -83,6 +84,9 @@ FaultPlan RandomPlan(Rng& rng, int procs);
 class ChaosTrial {
  public:
   ChaosTrial(const ChaosOptions& opts, int procs);
+  ~ChaosTrial();
+  ChaosTrial(const ChaosTrial&) = delete;
+  ChaosTrial& operator=(const ChaosTrial&) = delete;
 
   // Runs one plan end-to-end: build under the plan over a fresh checkpoint
   // directory, restarting with progressively stripped plans on abort.
@@ -102,6 +106,7 @@ class ChaosTrial {
 
   ChaosOptions opts_;
   int procs_;
+  bool owns_scratch_;  // scratch_dir made at the default path
   ShardBytes golden_;
   std::uint64_t trial_counter_ = 0;
 };

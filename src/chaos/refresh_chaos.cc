@@ -14,8 +14,8 @@
 #include "lattice/lattice.h"
 #include "refresh/delta.h"
 #include "refresh/refresh.h"
-#include "refresh/snapshot.h"
 #include "seqcube/seq_cube.h"
+#include "seqcube/view_store.h"
 #include "serve/retry_policy.h"
 #include "serve/router.h"
 #include "serve/shard_set.h"
@@ -62,7 +62,7 @@ FaultPlan RandomRefreshPlan(Rng& rng, int shards, std::uint64_t requests) {
       plan.refresh_kills.push_back(k);
     }
     // Rank-0 disk clauses: the coordinator is rank 0 of its injector, so
-    // these strike the snapshot view files and manifest appends.
+    // these strike the store's view files and MANIFEST appends.
     if (rng.NextDouble() < 0.3) {
       plan.disk_errors.push_back({0, 0.05 + 0.25 * rng.NextDouble()});
     }
@@ -136,7 +136,8 @@ RefreshChaosTrial::RefreshChaosTrial(const RefreshChaosOptions& opts,
     golden_post_.push_back(post_engine.Execute(q).rel);
   }
 
-  root_ = opts_.snapshot_root.empty()
+  owns_root_ = opts_.snapshot_root.empty();
+  root_ = owns_root_
               ? (std::filesystem::temp_directory_path() /
                  ("sncube_refresh_chaos_" + std::to_string(::getpid())))
                     .string()
@@ -144,7 +145,10 @@ RefreshChaosTrial::RefreshChaosTrial(const RefreshChaosOptions& opts,
   std::filesystem::create_directories(root_);
 }
 
-RefreshChaosTrial::~RefreshChaosTrial() = default;
+RefreshChaosTrial::~RefreshChaosTrial() {
+  std::error_code ec;
+  if (owns_root_) std::filesystem::remove_all(root_, ec);
+}
 
 std::string RefreshChaosTrial::MatchesEitherGolden(
     const CubeResult& cube) const {
@@ -240,7 +244,7 @@ std::optional<std::string> RefreshChaosTrial::Check(const FaultPlan& plan) {
     } catch (const InjectedFaultError&) {
       crashed = true;  // refreshkill: the simulated coordinator crash
     } catch (const SncubeIoError&) {
-      crashed = true;  // diskerr escalation: snapshot write never landed
+      crashed = true;  // diskerr escalation: a store write never landed
     }
 
     if (!crashed && !violation.has_value()) {
@@ -260,12 +264,11 @@ std::optional<std::string> RefreshChaosTrial::Check(const FaultPlan& plan) {
   }
 
   if (crashed && !violation.has_value()) {
-    // Simulated process restart: recover from the snapshot store alone; a
-    // store with no committed (or no intact) epoch falls back to the
-    // pre-refresh base cube, exactly like a restarted server would.
+    // Simulated process restart: recover from the store alone; a store
+    // with no committed (or no intact) epoch falls back to the pre-refresh
+    // base cube, exactly like a restarted server would.
     DiskModel recovery_disk;
-    SnapshotStore store(dir, recovery_disk);
-    const RecoveredSnapshot rec = store.Recover();
+    const RecoveredEpoch rec = ViewStore(dir, &recovery_disk).Recover();
     const CubeResult& served = rec.has_cube ? rec.cube : pre_cube_;
     const std::string mismatch = MatchesEitherGolden(served);
     if (!mismatch.empty()) {

@@ -2,13 +2,13 @@
 //
 // The serve-tier harness (chaos/serve_chaos.h) checks "no wrong answers"
 // against ONE immutable cube. This harness attacks the hard part of
-// src/refresh: a refresh swapping a new snapshot epoch into the serving
-// tier UNDER TRAFFIC, with the coordinator crashing at arbitrary phases of
-// the two-phase swap and rank-0 disk clauses corrupting the snapshot bytes.
+// src/refresh: a refresh swapping a new epoch into the serving tier UNDER
+// TRAFFIC, with the coordinator crashing at arbitrary phases of the
+// two-phase swap and rank-0 disk clauses corrupting the store's bytes.
 // Its invariant:
 //
 //   OLD OR NEW, NEVER A BLEND. Every OK response — before, during, and
-//   after the refresh, and after a crash + SnapshotStore::Recover restart —
+//   after the refresh, and after a crash + ViewStore::Recover restart —
 //   is byte-identical to the PRE-refresh golden answer or the POST-refresh
 //   golden answer for that query. A response mixing rows or measures from
 //   both snapshots is the unforgivable outcome; so is a recovered cube that
@@ -19,7 +19,7 @@
 // stream at entry to EVERY swap phase (prepare, between per-shard commits,
 // pre-commit, post-commit), so requests interleave with each swap step
 // deterministically. A refreshkill crash is followed by a simulated process
-// restart: the shard set is torn down, SnapshotStore::Recover picks the
+// restart: the shard set is torn down, ViewStore::Recover picks the
 // newest committed epoch (or the caller falls back to the pre-refresh base
 // cube), and the remaining stream replays against the recovered state.
 // Failing plans shrink ddmin-style and report through the shared
@@ -73,14 +73,15 @@ struct RefreshChaosOptions {
   // shard last committed, blending two snapshots — so tests can prove this
   // harness catches and shrinks a real refresh corruption.
   bool pin_epoch = true;
-  // Snapshot store scratch root; empty = system temp (pid-scoped).
+  // Scratch root for the trials' stores; empty = a pid-scoped directory
+  // under the system temp path, removed with the trial.
   std::string snapshot_root;
   // Progress lines to stderr.
   bool verbose = false;
 };
 
 // Draws one random refresh plan for `shards` shards over a `requests`-long
-// stream: coordinator kills at random swap phases, rank-0 snapshot disk
+// stream: coordinator kills at random swap phases, rank-0 store disk
 // clauses (diskerr/bitflip/tornwrite), and serve-tier kill/slow windows so
 // the swap runs under shard churn. Never empty; deterministic under `rng`.
 // Exposed for tests.
@@ -94,6 +95,8 @@ class RefreshChaosTrial {
  public:
   RefreshChaosTrial(const RefreshChaosOptions& opts, int shards);
   ~RefreshChaosTrial();
+  RefreshChaosTrial(const RefreshChaosTrial&) = delete;
+  RefreshChaosTrial& operator=(const RefreshChaosTrial&) = delete;
 
   // Replays the stream around one Refresh() under `plan`. Returns
   // std::nullopt when every response (and the recovered cube, if the plan
@@ -122,7 +125,8 @@ class RefreshChaosTrial {
   std::vector<Query> requests_;
   std::vector<Relation> golden_pre_;   // per request, answer over pre_cube_
   std::vector<Relation> golden_post_;  // per request, answer over post_cube_
-  std::string root_;                   // scratch root for snapshot stores
+  std::string root_;                   // scratch root for the stores
+  bool owns_root_ = false;             // made at the default path
   std::uint64_t next_check_id_ = 0;    // distinct store dir per Check
 };
 

@@ -1,5 +1,6 @@
 #include "io/checked_file.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <vector>
@@ -27,10 +28,12 @@ std::size_t ApplyWriteFault(const WriteFault& fault,
   return buf.size();
 }
 
-}  // namespace
-
-void WriteSealedFile(const std::filesystem::path& path,
-                     std::span<const std::byte> payload, DiskModel& disk) {
+// Seals `payload` and lands it at `path` (truncated or appended to, per
+// `mode`): the write is charged first, and an injected fault strikes the
+// sealed bytes. Returns the sealed size.
+std::uint64_t LandSealed(const std::filesystem::path& path,
+                         std::span<const std::byte> payload, DiskModel& disk,
+                         std::ios::openmode mode) {
   // Sized for the trailer up front, so sealing appends in place instead of
   // reallocating (and copying) the payload a second time.
   std::vector<std::byte> sealed;
@@ -40,7 +43,7 @@ void WriteSealedFile(const std::filesystem::path& path,
   // Charge first: a transient failure means the op never happened.
   disk.ChargeWrite(sealed.size());
   const std::size_t landing = ApplyWriteFault(disk.TakeWriteFault(sealed.size()), sealed);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  std::ofstream out(path, std::ios::binary | mode);
   if (!out.good()) {
     throw SncubeIoError("checked io: cannot open " + path.string() +
                         " for writing");
@@ -51,6 +54,32 @@ void WriteSealedFile(const std::filesystem::path& path,
   if (!out.good()) {
     throw SncubeIoError("checked io: short write to " + path.string());
   }
+  return sealed.size();
+}
+
+// Reads `bytes` bytes at `offset` of `path`, charged to `disk`; the result
+// is short if the file ends first.
+ByteBuffer ReadRange(const std::filesystem::path& path, std::uint64_t offset,
+                     std::uint64_t bytes, DiskModel& disk) {
+  disk.ChargeRead(bytes);
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) {
+    throw SncubeIoError("checked io: cannot open " + path.string());
+  }
+  ByteBuffer buf(bytes);
+  in.seekg(static_cast<std::streamoff>(offset));
+  in.read(reinterpret_cast<char*>(buf.data()),
+          static_cast<std::streamsize>(bytes));
+  buf.resize(static_cast<std::size_t>(std::max<std::streamsize>(in.gcount(), 0)));
+  return buf;
+}
+
+}  // namespace
+
+std::uint64_t WriteSealedFile(const std::filesystem::path& path,
+                              std::span<const std::byte> payload,
+                              DiskModel& disk) {
+  return LandSealed(path, payload, disk, std::ios::trunc);
 }
 
 ByteBuffer ReadSealedFile(const std::filesystem::path& path, DiskModel& disk) {
@@ -59,19 +88,38 @@ ByteBuffer ReadSealedFile(const std::filesystem::path& path, DiskModel& disk) {
   if (ec) {
     throw SncubeIoError("checked io: missing file " + path.string());
   }
-  disk.ChargeRead(size);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    throw SncubeIoError("checked io: cannot open " + path.string());
-  }
-  ByteBuffer bytes(size);
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(size));
-  if (in.gcount() != static_cast<std::streamsize>(size)) {
+  ByteBuffer bytes = ReadRange(path, 0, size, disk);
+  if (bytes.size() != size) {
     throw SncubeIoError("checked io: short read from " + path.string());
   }
   VerifyAndStripFrame(bytes);
   return bytes;
+}
+
+std::uint64_t AppendSealedFrame(const std::filesystem::path& path,
+                                std::span<const std::byte> payload,
+                                DiskModel& disk) {
+  return LandSealed(path, payload, disk, std::ios::app);
+}
+
+ByteBuffer ReadSealedRange(const std::filesystem::path& path,
+                           std::uint64_t offset, std::uint64_t bytes,
+                           DiskModel& disk) {
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);
+  if (ec) {
+    throw SncubeIoError("checked io: missing file " + path.string());
+  }
+  // The range comes from an index that is outside input: bound it by the
+  // file before allocating for it.
+  if (offset > size || bytes > size - offset) {
+    throw SncubeCorruptionError("checked io: " + path.string() +
+                                " ends before the frame at offset " +
+                                std::to_string(offset));
+  }
+  ByteBuffer frame = ReadRange(path, offset, bytes, disk);
+  VerifyAndStripFrame(frame);
+  return frame;
 }
 
 std::string SealLine(const std::string& text) {

@@ -16,6 +16,7 @@
 // future code cannot quietly bypass integrity framing.
 #pragma once
 
+#include <cstdint>
 #include <filesystem>
 #include <optional>
 #include <span>
@@ -27,19 +28,33 @@
 namespace sncube {
 
 // Writes `payload` plus its integrity trailer to `path` (truncating any
-// previous contents). Charges the disk for the sealed size up front — a
-// transient injected failure (SncubeTransientIoError) means nothing was
-// written and the caller may retry the whole call — then applies any
-// injected write fault to the sealed bytes before they land. Filesystem
-// failures throw SncubeIoError.
-void WriteSealedFile(const std::filesystem::path& path,
-                     std::span<const std::byte> payload, DiskModel& disk);
+// previous contents) and returns the sealed size. Charges the disk for the
+// sealed size up front — a transient injected failure
+// (SncubeTransientIoError) means nothing was written and the caller may
+// retry the whole call — then applies any injected write fault to the
+// sealed bytes before they land. Filesystem failures throw SncubeIoError.
+std::uint64_t WriteSealedFile(const std::filesystem::path& path,
+                              std::span<const std::byte> payload,
+                              DiskModel& disk);
 
 // Reads `path`, charges the disk, verifies and strips the trailer, and
 // returns the payload. Missing or unreadable files throw SncubeIoError;
 // damaged contents (bit flip, truncation, bad trailer) throw
 // SncubeCorruptionError.
 ByteBuffer ReadSealedFile(const std::filesystem::path& path, DiskModel& disk);
+
+// A file of sealed frames back to back: AppendSealedFrame appends `payload`
+// plus its trailer to `path` (creating it) with WriteSealedFile's charge-
+// first / corrupt-after contract and returns the sealed size;
+// ReadSealedRange reads the `bytes` bytes at `offset` as one sealed frame
+// and returns its payload, throwing as ReadSealedFile does (a range past
+// the end of the file is a truncation).
+std::uint64_t AppendSealedFrame(const std::filesystem::path& path,
+                                std::span<const std::byte> payload,
+                                DiskModel& disk);
+ByteBuffer ReadSealedRange(const std::filesystem::path& path,
+                           std::uint64_t offset, std::uint64_t bytes,
+                           DiskModel& disk);
 
 // Textual line integrity: returns `text` with a " crc <8-hex>" suffix
 // covering it. `text` must not contain '\n'.

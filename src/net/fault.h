@@ -37,8 +37,8 @@
 //
 // Refresh clauses target the online-refresh coordinator (src/refresh). The
 // coordinator acts as rank 0 of its own injector, so bitflip/tornwrite
-// clauses for rank 0 corrupt snapshot slice/manifest writes exactly like
-// checkpoint frames:
+// clauses for rank 0 corrupt its store's view file and MANIFEST writes
+// exactly like checkpoint frames:
 //
 //   refreshkill:<phase>       the refresh coordinator crashes (throws
 //                             InjectedFaultError) on entry to two-phase-swap
@@ -102,7 +102,7 @@ struct FaultPlan {
   };
   // Refresh tier: the coordinator crashes on entry to two-phase-swap phase
   // `phase` (RefreshCoordinator's numbering, refresh/refresh.h). Modeled as
-  // a thrown InjectedFaultError; recovery is SnapshotStore::Recover.
+  // a thrown InjectedFaultError; recovery is ViewStore::Recover.
   struct RefreshKill {
     int phase = 0;
   };

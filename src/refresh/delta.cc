@@ -89,10 +89,9 @@ CubeResult MergeDeltaCube(const CubeResult& base, const CubeResult& delta_cube,
   return merged;
 }
 
-StoreRefreshResult RefreshViewStore(
-    const ViewStore& store, const CubeManifest& manifest,
-    const Relation& delta,
-    const std::function<void(const ViewResult&)>& on_view) {
+StoreRefreshResult RefreshViewStore(const ViewStore& store,
+                                    const CubeManifest& manifest,
+                                    const Relation& delta) {
   std::vector<ViewId> views;
   views.reserve(manifest.views.size());
   for (const ViewEntry& entry : manifest.views) views.push_back(entry.id);
@@ -101,14 +100,7 @@ StoreRefreshResult RefreshViewStore(
   result.views_refreshed = affected.size();
   CubeResult delta_cube = ComputeDeltaCube(delta, manifest.schema, affected);
 
-  // The rewrite is in place, so a damaged input view met midway would cost
-  // the whole directory: the views before it rewritten, the manifest gone.
-  // Every file the index names is checked (seal, and header against its
-  // entry) before the writer removes the manifest. A stop-gap until refresh
-  // writes a new epoch beside the old one (ROADMAP item 2).
-  for (const ViewEntry& entry : manifest.views) store.Check(entry);
-
-  ViewStore::Writer writer(store, manifest.schema);
+  ViewStore::Writer writer(store, manifest.schema, manifest.epoch + 1);
   // One base and one merged view serve the whole index, so their storage
   // grows to the largest view once instead of being mapped, faulted in and
   // zeroed again for every view.
@@ -119,10 +111,11 @@ StoreRefreshResult RefreshViewStore(
     MergeDeltaView(base, delta_cube, AggFn::kSum, merged);
     delta_cube.views.erase(entry.id);
     writer.Write(merged);
-    if (on_view) on_view(merged);
     result.merged_rows += merged.rel.size();
   }
   writer.Commit();
+  store.RemoveEpochsBelow(writer.epoch());
+  result.epoch = writer.epoch();
   return result;
 }
 

@@ -17,7 +17,6 @@
 // scatter merging (MergeSortedAggregate), and golden byte comparisons.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -79,23 +78,22 @@ CubeResult MergeDeltaCube(const CubeResult& base, const CubeResult& delta_cube,
 struct StoreRefreshResult {
   std::size_t views_refreshed = 0;  // AffectedViews of the index
   std::uint64_t merged_rows = 0;    // rows of the refreshed cube
+  std::uint64_t epoch = 0;          // the epoch it committed
 };
 
-// Refreshes the cube directory of `store`, whose manifest is `manifest`, in
-// place and one view at a time: cubes `delta` once over the index's views,
-// checks every indexed file (ViewStore::Check), then through one
-// ViewStore::Writer per index entry loads the base view, merges it
-// (MergeDeltaView), rewrites its file and hands the merged view to
-// `on_view`, and writes the new manifest last. Peak memory is the delta cube
-// plus one base and one merged view, reused across views. The files come
-// out byte-identical to
-// SaveCube(MergeDeltaCube(LoadCube(), ComputeDeltaCube(...))). A damaged
-// input view fails the check and leaves the directory untouched; a failure
-// after it (a write) leaves no manifest, so the directory is refused until
-// rebuilt.
-StoreRefreshResult RefreshViewStore(
-    const ViewStore& store, const CubeManifest& manifest,
-    const Relation& delta,
-    const std::function<void(const ViewResult&)>& on_view = {});
+// Refreshes the cube directory of `store`, whose newest committed index is
+// `manifest`, one view at a time: cubes `delta` once over the index's
+// views, then writes epoch manifest.epoch + 1 beside the committed one
+// through one ViewStore::Writer (per index entry: load the base view, merge
+// it (MergeDeltaView), write it), commits it and removes every older
+// epoch's view files. Peak memory is the delta cube plus one base and one
+// merged view, reused across views. The view files hold the frames of
+// MergeDeltaCube(LoadCube(), ComputeDeltaCube(...)) at the new epoch. Old
+// or new: until the commit record lands the directory answers as before,
+// and a failure before it (a damaged input view, a failed write) drops the
+// writer, which removes what it wrote.
+StoreRefreshResult RefreshViewStore(const ViewStore& store,
+                                    const CubeManifest& manifest,
+                                    const Relation& delta);
 
 }  // namespace sncube

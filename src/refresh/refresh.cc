@@ -14,12 +14,15 @@ RefreshCoordinator::RefreshCoordinator(ShardSet& shards,
     : shards_(shards),
       schema_(schema),
       options_(std::move(options)),
-      store_(options_.dir, disk_) {
+      store_(options_.dir, &disk_) {
   SNCUBE_CHECK_MSG(base != nullptr, "refresh needs the serving base cube");
+  SNCUBE_CHECK_MSG(!options_.dir.empty(), "refresh needs a store directory");
   SNCUBE_CHECK_MSG(IndexOf(*base) == shards_.Index(shards_.serving_epoch()),
                    "refresh base is not the cube the shard set serves");
+  // The store holds the epochs this coordinator commits, nothing older.
+  store_.Clear();
   // The coordinator is rank 0 of its injector: transient errors and silent
-  // corruption from rank-0 disk clauses strike the snapshot writes below.
+  // corruption from rank-0 disk clauses strike the store writes below.
   if (options_.injector != nullptr) disk_.set_fault_hook(options_.injector);
 }
 
@@ -68,32 +71,40 @@ std::uint64_t RefreshCoordinator::Refresh(const Relation& delta) {
 
   // ---- Prepare: durable bytes, still serving the old epoch ----
   EnterPhase(0);
-  {
-    SNCUBE_TRACE_SPAN("refresh-snapshot");
-    // WriteEpoch's loop over the assembled views, one in memory at a time.
-    std::vector<std::uint32_t> masks;
-    for (const auto& [id, vr] : next.front().views) {
-      store_.WriteEpochView(epoch, AssembleServingView(next, id));
-      masks.push_back(id.mask());
-      if (masks.size() == 1) EnterPhase(1);
+  ViewStore::Writer writer(store_, schema_, epoch);
+  try {
+    {
+      SNCUBE_TRACE_SPAN("refresh-snapshot");
+      // One assembled view in memory at a time.
+      bool first = true;
+      for (const auto& [id, vr] : next.front().views) {
+        writer.Write(AssembleServingView(next, id));
+        if (first) EnterPhase(1);
+        first = false;
+      }
+      writer.Prepare();
     }
-    store_.AppendPrepare(epoch, std::move(masks));
-  }
-  EnterPhase(2);
+    EnterPhase(2);
 
-  // ---- Two-phase swap ----
-  SNCUBE_TRACE_SPAN("refresh-swap");
-  shards_.PrepareEpoch(epoch, std::move(next));
-  for (int s = 0; s < shards_.shards(); ++s) {
-    if (s > 0) EnterPhase(3);
-    store_.AppendCommitShard(epoch, s);
-    shards_.CommitShard(epoch, s);
+    // ---- Two-phase swap ----
+    SNCUBE_TRACE_SPAN("refresh-swap");
+    shards_.PrepareEpoch(epoch, std::move(next));
+    for (int s = 0; s < shards_.shards(); ++s) {
+      if (s > 0) EnterPhase(3);
+      writer.CommitShard(s);
+      shards_.CommitShard(epoch, s);
+    }
+    EnterPhase(4);
+    writer.Commit();  // THE commit point
+    shards_.FinalizeEpoch(epoch);
+    EnterPhase(5);
+    if (epoch >= 1) store_.RemoveEpochsBelow(epoch - 1);
+  } catch (...) {
+    // A failure is the coordinator's crash: what landed stays for Recover,
+    // as a killed process would leave it.
+    writer.Abandon();
+    throw;
   }
-  EnterPhase(4);
-  store_.AppendCommit(epoch);  // THE commit point
-  shards_.FinalizeEpoch(epoch);
-  EnterPhase(5);
-  if (epoch >= 1) store_.RemoveEpochDirsBelow(epoch - 1);
 
   if (options_.metrics != nullptr) {
     options_.metrics->GetCounter("refresh.epochs_installed").Increment();

@@ -6,27 +6,31 @@
 //   delta ── AffectedViews ── ComputeDeltaCube ── PartitionCubeForServing
 //     ── per slice s: MergeDeltaCube(serving slice s, delta slice s) ──▶ E
 //                                                                     │
-//   SnapshotStore: write epoch_E/ views ── "prepare E" ───────────────┤
+//   ViewStore::Writer: epoch E's view files ── "prepare E" ───────────┤
 //   ShardSet:      PrepareEpoch(E)  (hosted, NOT serving)             │
 //   per shard s:   "commitshard E s" ── CommitShard(E, s)             │
-//   SnapshotStore: "commit E"   ◀── THE atomic commit point           │
+//   ViewStore::Writer: "commit E"   ◀── THE atomic commit point       │
 //   ShardSet:      FinalizeEpoch(E)  (serving_epoch ← E)              ▼
-//   cleanup:       retire epoch dirs ≤ E-2
+//   cleanup:       remove view files of epochs ≤ E-2
 //
-// The merge runs slice by slice: partitioning keeps every group's rows on
-// one slice in base order, so merging the delta's slice s into the serving
-// epoch's slice s gives exactly slice s of the whole-cube merge. Each
-// snapshot view file is written from AssembleServingView over the new
-// slices, one view in memory at a time, with the same bytes
-// SnapshotStore::WriteEpoch writes for the whole merged cube. No full cube
+// The store at RefreshOptions::dir is a cube directory (seqcube/
+// view_store.h) that holds every view the tier serves, auxiliaries
+// included; the coordinator starts it empty, and `sncube info`/`query` can
+// read it once an epoch is committed. The merge runs slice by slice:
+// partitioning keeps every group's rows on one slice in base order, so
+// merging the delta's slice s into the serving epoch's slice s gives
+// exactly slice s of the whole-cube merge. Each view file is written from
+// AssembleServingView over the new slices, one view in memory at a time,
+// with the bytes the writer gives the whole merged cube's view. No full cube
 // exists after epoch 0.
 //
 // CRASH MODEL. A refreshkill:<K> fault clause (net/fault.h) makes the
 // coordinator throw InjectedFaultError on entry to phase K — every durable
-// byte written before the throw stays, everything after never happens, which
-// is exactly a process crash at that point. The phases:
+// byte written before the throw stays (the writer is abandoned, not undone),
+// everything after never happens, which is exactly a process crash at that
+// point. The phases:
 //
-//   0  before any snapshot bytes (delta cube computed, nothing durable)
+//   0  before any store bytes (delta cube computed, nothing durable)
 //   1  mid-prepare: after the first view file, before the rest
 //   2  after the sealed "prepare E" manifest record
 //   3  between per-shard commit records (entered once per shard after the
@@ -35,9 +39,9 @@
 //   5  after commit, before old-epoch retire/cleanup
 //
 // The invariant (enforced by tests/refresh_test.cc and `sncube chaos
-// --refresh`): after a crash at ANY phase, SnapshotStore::Recover() plus
-// the caller's base-cube fallback serves a cube byte-identical to either
-// the pre-refresh cube (crash at phase ≤ 4: no commit record) or the
+// --refresh`): after a crash at ANY phase, ViewStore::Recover() plus the
+// caller's base-cube fallback serves a cube byte-identical to either the
+// pre-refresh cube (crash at phase ≤ 4: no commit record) or the
 // post-refresh cube (phase 5: commit sealed) — never a blend, because the
 // single sealed "commit E" line is the only state transition and requests
 // are epoch-pinned end to end (serve/shard_set.h).
@@ -56,19 +60,19 @@
 #include "net/fault.h"
 #include "obs/metrics_registry.h"
 #include "refresh/delta.h"
-#include "refresh/snapshot.h"
+#include "seqcube/view_store.h"
 #include "serve/shard_set.h"
 
 namespace sncube {
 
 struct RefreshOptions {
-  std::string dir;  // snapshot store root (required)
+  std::string dir;  // the store's cube directory (required)
   AggFn fn = AggFn::kSum;
   PartialStrategy strategy = PartialStrategy::kPrunedPipesort;
   // Borrowed, optional. The coordinator acts as RANK 0 of this injector:
   // refreshkill clauses crash it at phase entries, and the injector is
-  // installed as the snapshot DiskModel's fault hook so rank-0
-  // diskerr/bitflip/tornwrite clauses strike snapshot writes.
+  // installed as the store DiskModel's fault hook so rank-0
+  // diskerr/bitflip/tornwrite clauses strike the store's writes.
   FaultInjector* injector = nullptr;
   obs::MetricsRegistry* metrics = nullptr;  // borrowed, optional
   // Test hook: runs on entry to each phase AFTER the injector's kill check.
@@ -91,12 +95,9 @@ class RefreshCoordinator {
   // refreshed cube, persists it, and two-phase-swaps it in. Returns the new
   // serving epoch. Throws InjectedFaultError on a planned refreshkill (the
   // simulated crash — the coordinator object is dead afterwards; recovery is
-  // a fresh process via SnapshotStore::Recover), SncubeIoError on persistent
-  // disk failure.
+  // a fresh process via ViewStore::Recover), SncubeIoError on persistent
+  // disk failure (also left for Recover: the coordinator never undoes).
   std::uint64_t Refresh(const Relation& delta);
-
-  SnapshotStore& store() { return store_; }
-  DiskModel& disk() { return disk_; }
 
  private:
   void EnterPhase(int phase);
@@ -105,7 +106,7 @@ class RefreshCoordinator {
   Schema schema_;
   RefreshOptions options_;
   DiskModel disk_;
-  SnapshotStore store_;
+  ViewStore store_;
 };
 
 }  // namespace sncube

@@ -43,11 +43,17 @@ struct CubeResult {
 };
 
 // One entry of a cube's view index: a materialized view and its row count,
-// all that query routing needs to know about it. The cube directory's
-// manifest (seqcube/view_store.h) stores exactly these.
+// all that query routing needs to know about it, plus where a cube
+// directory (seqcube/view_store.h) stores it: the epoch, the segment file
+// of that epoch, and the byte range of its sealed frame there. An
+// in-memory cube's index leaves those 0.
 struct ViewEntry {
   ViewId id;
   std::uint64_t rows = 0;
+  std::uint64_t epoch = 0;
+  std::uint64_t segment = 0;
+  std::uint64_t offset = 0;
+  std::uint64_t bytes = 0;
 
   bool operator==(const ViewEntry&) const = default;
 };

@@ -407,14 +407,6 @@ ByteBuffer EncodeViewFrame(const ViewResult& view, std::uint64_t epoch) {
                          {&part, 1});
 }
 
-ViewFrameHeader DecodeViewFrameHeader(std::span<const std::byte> bytes) {
-  WireReader reader(bytes);
-  ViewFrame frame;
-  std::vector<std::uint8_t> widths;
-  const std::uint64_t rows = ReadHeader(reader, frame, widths);
-  return {frame.view.id, frame.epoch, rows};
-}
-
 void DecodeViewFrame(std::span<const std::byte> bytes, ViewFrame& frame) {
   WireReader reader(bytes);
   std::vector<std::uint8_t> widths;

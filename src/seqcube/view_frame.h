@@ -1,7 +1,7 @@
-// The view frame: the one durable format of a materialized view, used by
-// the cube directory (seqcube/view_store.h, epoch 0) and by the refresh
-// snapshot store (refresh/snapshot.h, one epoch per refresh). Callers seal
-// a frame with io/checked_file.h; the frame itself carries no checksum.
+// The view frame: the one durable format of a materialized view, written
+// into the cube directory (seqcube/view_store.h) at the epoch of the build
+// or refresh that made it. Callers seal a frame with io/checked_file.h; the
+// frame itself carries no checksum.
 //
 // A frame is a fixed header, then one pair of LEB128 varints per row:
 //
@@ -59,14 +59,5 @@ ViewFrame DecodeViewFrame(std::span<const std::byte> bytes);
 // caller decoding view after view into one frame allocates for the largest
 // once.
 void DecodeViewFrame(std::span<const std::byte> bytes, ViewFrame& frame);
-
-// What a frame's header says, checked as DecodeViewFrame checks it (the row
-// count bounded by the payload); the rows themselves are not read.
-struct ViewFrameHeader {
-  ViewId id;
-  std::uint64_t epoch = 0;
-  std::uint64_t rows = 0;
-};
-ViewFrameHeader DecodeViewFrameHeader(std::span<const std::byte> bytes);
 
 }  // namespace sncube

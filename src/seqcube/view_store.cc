@@ -4,9 +4,14 @@
 #include <charconv>
 #include <cstdio>
 #include <fstream>
-#include <string>
+#include <iterator>
+#include <map>
+#include <optional>
+#include <set>
 #include <string_view>
+#include <utility>
 
+#include "common/crc32c.h"
 #include "common/status.h"
 #include "io/checked_file.h"
 #include "seqcube/view_frame.h"
@@ -14,14 +19,20 @@
 namespace sncube {
 namespace {
 
-constexpr const char* kManifestName = "manifest.txt";
-constexpr int kManifestVersion = 3;
-// A full 20-dimension index is ~1M lines of under 30 bytes; anything much
-// larger is not a manifest this store wrote.
-constexpr std::uintmax_t kMaxManifestBytes = 64u << 20;
+constexpr const char* kManifestName = "MANIFEST";
+constexpr int kFormat = 4;
+// A later epoch's frames fill segment files in mask order; the next frame
+// starts a new segment when it would take one past this size. Segments
+// stay near the size of a view file, so a refresh creates a few files
+// instead of one per view, and no single file is much larger than the
+// build's largest view file.
+constexpr std::uint64_t kSegmentBytes = 256 << 10;
+// Transient disk errors retried per operation before they escalate. (No
+// backoff: a store has no clock to charge one to.)
+constexpr int kMaxIoRetries = 4;
 
 [[noreturn]] void Corrupt(const std::string& what) {
-  throw SncubeCorruptionError("manifest.txt: " + what);
+  throw SncubeCorruptionError("MANIFEST: " + what);
 }
 
 // Parses all of `text` as a number; false on empty input, a sign the type
@@ -33,216 +44,274 @@ bool ParseNumber(std::string_view text, T* out, int base = 10) {
   return !text.empty() && ec == std::errc() && ptr == end;
 }
 
-// Line-at-a-time cursor over the manifest text; every line must end in '\n'.
-class ManifestLines {
- public:
-  explicit ManifestLines(std::string_view text) : rest_(text) {}
-
-  std::string_view Next() {
-    const auto nl = rest_.find('\n');
-    if (nl == std::string_view::npos) Corrupt("truncated");
-    const std::string_view line = rest_.substr(0, nl);
-    rest_.remove_prefix(nl + 1);
-    return line;
+// The fields of a record, split at every space (so a doubled space gives an
+// empty field, which no field grammar accepts).
+std::vector<std::string_view> Fields(std::string_view line) {
+  std::vector<std::string_view> fields;
+  for (std::size_t start = 0;;) {
+    const auto sp = line.find(' ', start);
+    fields.push_back(line.substr(start, sp - start));
+    if (sp == std::string_view::npos) return fields;
+    start = sp + 1;
   }
+}
 
-  // Splits the next line into exactly two fields around one space.
-  std::pair<std::string_view, std::string_view> NextPair() {
-    const std::string_view line = Next();
-    const auto sp = line.find(' ');
-    if (sp == std::string_view::npos || sp == 0 ||
-        line.find(' ', sp + 1) != std::string_view::npos) {
-      Corrupt("malformed line \"" + std::string(line) + "\"");
-    }
-    return {line.substr(0, sp), line.substr(sp + 1)};
+// The file that holds an entry's frame: its own file at epoch 0, a
+// segment of its epoch later.
+std::string FileOf(const ViewEntry& entry) {
+  char name[64];
+  if (entry.epoch == 0) {
+    std::snprintf(name, sizeof(name), "v%05x.e0.sncv", entry.id.mask());
+  } else {
+    std::snprintf(name, sizeof(name), "e%llu.%llu.sncv",
+                  static_cast<unsigned long long>(entry.epoch),
+                  static_cast<unsigned long long>(entry.segment));
   }
+  return name;
+}
 
-  template <typename T>
-  T NextNumber() {
-    const std::string_view line = Next();
-    T value{};
-    if (!ParseNumber(line, &value)) {
-      Corrupt("expected a number, got \"" + std::string(line) + "\"");
-    }
-    return value;
+// Places a later epoch's next frame of `bytes` bytes: its segment and
+// offset, after the frames `last` ended with (all zero for the first).
+void PlaceInSegment(const ViewEntry* last, ViewEntry& entry) {
+  if (last == nullptr) return;
+  entry.segment = last->segment;
+  entry.offset = last->offset + last->bytes;
+  if (entry.offset > 0 && entry.offset + entry.bytes > kSegmentBytes) {
+    ++entry.segment;
+    entry.offset = 0;
   }
+}
 
-  bool AtEnd() const { return rest_.empty(); }
-
- private:
-  std::string_view rest_;
+// A regular file of a store named "v<mask-hex>.e0.sncv" or
+// "e<epoch>.<segment>.sncv", or that name plus a set-aside suffix (then
+// not live).
+struct ViewFile {
+  std::filesystem::path path;
+  std::uint64_t epoch = 0;
+  bool live = false;
 };
 
-CubeManifest ParseManifest(std::string_view text) {
-  ManifestLines lines(text);
-  const auto [magic, version_text] = lines.NextPair();
-  int version = 0;
-  if (magic != "sncube-manifest" || !ParseNumber(version_text, &version)) {
-    Corrupt("not an sncube manifest");
-  }
-  if (version == 1 || version == 2) {
-    Corrupt("format " + std::string(version_text) +
-            " predates the sealed view frames; rebuild the cube directory "
-            "with `sncube build`");
-  }
-  if (version != kManifestVersion) {
-    Corrupt("unsupported format " + std::string(version_text));
-  }
-
-  const int d = lines.NextNumber<int>();
-  if (d < 1 || d > ViewId::kMaxDims) {
-    Corrupt("dimension count " + std::to_string(d) + " out of range");
-  }
-  std::vector<std::string> names;
-  std::vector<std::uint32_t> cards;
-  for (int i = 0; i < d; ++i) {
-    const auto [name, card_text] = lines.NextPair();
-    std::uint32_t card = 0;
-    if (!ParseNumber(card_text, &card) || card < 1 ||
-        (!cards.empty() && card > cards.back())) {
-      Corrupt("bad cardinality for dimension " + std::to_string(i));
+std::vector<ViewFile> ListViewFiles(const std::filesystem::path& dir) {
+  std::vector<ViewFile> files;
+  std::error_code ec;
+  for (const auto& file : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = file.path().filename().string();
+    const auto first = name.find('.');
+    const auto ext = name.find(".sncv", first);
+    if (!file.is_regular_file() || ext == std::string::npos || ext == first) {
+      continue;
     }
-    // Queries name dimensions, so a repeated name would make them ambiguous.
-    if (std::find(names.begin(), names.end(), name) != names.end()) {
-      Corrupt("duplicate dimension name \"" + std::string(name) + "\"");
-    }
-    names.emplace_back(name);
-    cards.push_back(card);
-  }
-
-  CubeManifest manifest;
-  manifest.schema = Schema(cards, names);
-  const auto count = lines.NextNumber<std::uint64_t>();
-  if (count > (std::uint64_t{1} << d)) Corrupt("view count out of range");
-  manifest.views.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto [name, rows_text] = lines.NextPair();
+    // The two dot-separated fields before ".sncv".
+    const std::string_view a = std::string_view(name).substr(0, first);
+    const std::string_view b =
+        std::string_view(name).substr(first + 1, ext - first - 1);
     std::uint32_t mask = 0;
-    ViewEntry entry;
-    if (name[0] != 'v' || !ParseNumber(name.substr(1), &mask, 16) ||
-        !ParseNumber(rows_text, &entry.rows)) {
-      Corrupt("malformed view entry \"" + std::string(name) + "\"");
-    }
-    if ((mask >> d) != 0) {
-      Corrupt("view " + std::string(name) + " is outside the schema's " +
-              std::to_string(d) + " dimensions");
-    }
-    entry.id = ViewId(mask);
-    if (!manifest.views.empty() && !(manifest.views.back().id < entry.id)) {
-      Corrupt("view " + std::string(name) + " is duplicate or out of order");
-    }
-    manifest.views.push_back(entry);
+    std::uint64_t segment = 0;
+    ViewFile view{file.path(), 0, ext + 5 == name.size()};
+    const bool own = a.size() > 1 && a[0] == 'v' &&
+                     ParseNumber(a.substr(1), &mask, 16) && b == "e0";
+    const bool seg = a.size() > 1 && a[0] == 'e' &&
+                     ParseNumber(a.substr(1), &view.epoch) &&
+                     ParseNumber(b, &segment);
+    if (own || seg) files.push_back(std::move(view));
   }
-  if (lines.Next() != "end" || !lines.AtEnd()) Corrupt("missing end line");
-  return manifest;
+  return files;
 }
 
-// The checks a frame read through an index entry must pass beyond its own.
-void CheckAgainstEntry(const std::string& name, ViewId id,
-                       std::uint64_t epoch, std::uint64_t rows,
-                       const ViewEntry& entry) {
-  if (id != entry.id) {
-    throw SncubeCorruptionError(name + " holds a different view");
-  }
-  if (epoch != 0) {
-    throw SncubeCorruptionError(name + " is a snapshot frame of epoch " +
-                                std::to_string(epoch));
-  }
-  if (rows != entry.rows) {
-    throw SncubeCorruptionError(name + " holds " + std::to_string(rows) +
-                                " rows; the manifest says " +
-                                std::to_string(entry.rows));
-  }
-}
-
-}  // namespace
-
-ViewStore::ViewStore(std::filesystem::path dir) : dir_(std::move(dir)) {
-  std::filesystem::create_directories(dir_);
-}
-
-ViewStore::Writer::Writer(const ViewStore& store, Schema schema)
-    : store_(store), manifest_{std::move(schema), {}} {
-  std::filesystem::remove(store_.dir_ / kManifestName);
-}
-
-void ViewStore::Writer::Write(const ViewResult& view) {
-  if (!view.selected) return;
-  const Relation* part = &view.rel;
-  Write(view.id, view.order, {&part, 1});
-}
-
-void ViewStore::Writer::Write(ViewId id, const std::vector<int>& order,
-                              std::span<const Relation* const> parts) {
-  std::uint64_t rows = 0;
-  for (const Relation* rel : parts) rows += rel->size();
-  WriteSealedFile(store_.PathFor(id),
-                  EncodeViewFrame(id, order, /*selected=*/true, /*epoch=*/0,
-                                  parts),
-                  disk_);
-  manifest_.views.push_back({id, rows});
-}
-
-void ViewStore::Writer::Commit() {
-  std::vector<ViewEntry>& views = manifest_.views;
-  std::sort(views.begin(), views.end(),
-            [](const ViewEntry& a, const ViewEntry& b) { return a.id < b.id; });
-  for (std::size_t i = 1; i < views.size(); ++i) {
-    SNCUBE_CHECK_MSG(views[i - 1].id < views[i].id, "view written twice");
-  }
-  store_.SaveManifest(manifest_);
-}
-
-std::filesystem::path ViewStore::PathFor(ViewId id) const {
-  char name[32];
-  std::snprintf(name, sizeof(name), "v%05x.sncv", id.mask());
-  return dir_ / name;
-}
-
-void ViewStore::SaveManifest(const CubeManifest& manifest) const {
-  const Schema& schema = manifest.schema;
-  std::string text = "sncube-manifest " + std::to_string(kManifestVersion) +
-                     "\n" + std::to_string(schema.dims()) + "\n";
+std::string SchemaRecord(const Schema& schema) {
+  std::string text = "schema " + std::to_string(kFormat) + ' ' +
+                     std::to_string(schema.dims());
   for (int i = 0; i < schema.dims(); ++i) {
     SNCUBE_CHECK_MSG(!schema.name(i).empty() &&
                          schema.name(i).find_first_of(" \n") ==
                              std::string::npos,
                      "dimension names must be non-empty and unspaced");
-    text += schema.name(i) + ' ' + std::to_string(schema.cardinality(i)) + '\n';
+    text += ' ' + schema.name(i) + ' ' + std::to_string(schema.cardinality(i));
   }
-  text += std::to_string(manifest.views.size()) + '\n';
-  for (const ViewEntry& entry : manifest.views) {
-    char line[48];
-    std::snprintf(line, sizeof(line), "v%05x %llu\n", entry.id.mask(),
-                  static_cast<unsigned long long>(entry.rows));
-    text += line;
-  }
-  text += "end\n";
+  return text;
+}
 
-  const auto path = dir_ / kManifestName;
-  auto tmp = path;
-  tmp += ".tmp";
-  {
-    // sncheck:allow(raw-file-write): text index, to become a sealed manifest
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    SNCUBE_CHECK_MSG(out.good(), "cannot write manifest");
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
-    SNCUBE_CHECK_MSG(out.good(), "short write to manifest");
+Schema ParseSchema(const std::vector<std::string_view>& f) {
+  int format = 0;
+  int d = 0;
+  if (f.size() < 3 || f[0] != "schema" || !ParseNumber(f[1], &format)) {
+    Corrupt("the first record is not a schema record");
   }
-  std::filesystem::rename(tmp, path);
+  if (format != kFormat) Corrupt("unsupported format " + std::string(f[1]));
+  if (!ParseNumber(f[2], &d) || d < 1 || d > ViewId::kMaxDims) {
+    Corrupt("dimension count " + std::string(f[2]) + " out of range");
+  }
+  if (f.size() != 3 + 2 * static_cast<std::size_t>(d)) {
+    Corrupt("the schema record does not list " + std::to_string(d) +
+            " dimensions");
+  }
+  std::vector<std::string> names;
+  std::vector<std::uint32_t> cards;
+  for (std::size_t i = 3; i < f.size(); i += 2) {
+    std::uint32_t card = 0;
+    if (f[i].empty() || !ParseNumber(f[i + 1], &card) || card < 1 ||
+        (!cards.empty() && card > cards.back())) {
+      Corrupt("bad dimension " + std::to_string(names.size()));
+    }
+    // Queries name dimensions, so a repeated name would make them ambiguous.
+    if (std::find(names.begin(), names.end(), f[i]) != names.end()) {
+      Corrupt("duplicate dimension name \"" + std::string(f[i]) + "\"");
+    }
+    names.emplace_back(f[i]);
+    cards.push_back(card);
+  }
+  return Schema(cards, names);
+}
+
+// One record after the schema record.
+struct Record {
+  enum Kind { kPrepare, kCommitShard, kCommit } kind = kCommit;
+  std::uint64_t epoch = 0;
+  std::vector<ViewEntry> views;  // kPrepare only
+};
+
+// A record of a store with `d` dimensions, or nullopt when it does not
+// parse: an unknown tag, a bad number, a mask outside the schema or masks
+// out of order.
+std::optional<Record> ParseRecord(const std::vector<std::string_view>& f,
+                                  int d) {
+  Record rec;
+  if (f.size() < 2 || !ParseNumber(f[1], &rec.epoch)) return std::nullopt;
+  if (f[0] == "prepare") {
+    rec.kind = Record::kPrepare;
+    for (std::size_t i = 2; i < f.size(); ++i) {
+      const auto colon = f[i].find(':');
+      const auto second = f[i].find(':', colon + 1);
+      std::uint32_t mask = 0;
+      ViewEntry entry;
+      entry.epoch = rec.epoch;
+      if (second == std::string_view::npos ||
+          !ParseNumber(f[i].substr(0, colon), &mask, 16) || (mask >> d) != 0 ||
+          !ParseNumber(f[i].substr(colon + 1, second - colon - 1),
+                       &entry.rows) ||
+          !ParseNumber(f[i].substr(second + 1), &entry.bytes)) {
+        return std::nullopt;
+      }
+      entry.id = ViewId(mask);
+      if (!rec.views.empty() && !(rec.views.back().id < entry.id)) {
+        return std::nullopt;
+      }
+      if (rec.epoch != 0) {
+        PlaceInSegment(rec.views.empty() ? nullptr : &rec.views.back(), entry);
+      }
+      rec.views.push_back(entry);
+    }
+    return rec;
+  }
+  int shard = 0;
+  if (f[0] == "commitshard" && f.size() == 3 && ParseNumber(f[2], &shard)) {
+    rec.kind = Record::kCommitShard;
+    return rec;
+  }
+  if (f[0] == "commit" && f.size() == 2) return rec;
+  return std::nullopt;
+}
+
+// A MANIFEST's durable prefix.
+struct ManifestLog {
+  bool exists = false;
+  std::optional<Schema> schema;
+  std::string error;  // why there is no schema, when the file exists
+  std::vector<Record> records;
+  std::uintmax_t durable_bytes = 0;
+};
+
+ManifestLog ReadLog(const std::filesystem::path& dir) {
+  ManifestLog log;
+  std::ifstream in(dir / kManifestName, std::ios::binary);
+  if (!in.good()) return log;
+  log.exists = true;
+  const std::string text{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  int d = 0;
+  for (std::size_t pos = 0;;) {
+    const auto nl = text.find('\n', pos);
+    if (nl == std::string::npos) break;
+    const auto line = VerifySealedLine(text.substr(pos, nl - pos));
+    if (!line.has_value()) break;
+    const auto fields = Fields(*line);
+    if (!log.schema.has_value()) {
+      try {
+        log.schema = ParseSchema(fields);
+      } catch (const SncubeCorruptionError& e) {
+        log.error = e.what();
+        break;
+      }
+      d = log.schema->dims();
+    } else {
+      auto rec = ParseRecord(fields, d);
+      if (!rec.has_value()) break;
+      log.records.push_back(std::move(*rec));
+    }
+    pos = nl + 1;
+    log.durable_bytes = pos;
+  }
+  if (!log.schema.has_value() && log.error.empty()) {
+    log.error = "MANIFEST: no intact schema record";
+  }
+  return log;
+}
+
+// The committed epochs of a durable prefix in record order, each with the
+// index of the last `prepare` before its `commit`.
+std::vector<Record> Committed(const std::vector<Record>& records) {
+  std::map<std::uint64_t, const Record*> prepared;
+  std::vector<Record> committed;
+  for (const Record& rec : records) {
+    if (rec.kind == Record::kPrepare) prepared[rec.epoch] = &rec;
+    if (rec.kind != Record::kCommit) continue;
+    const auto it = prepared.find(rec.epoch);
+    if (it != prepared.end()) committed.push_back(*it->second);
+  }
+  return committed;
+}
+
+}  // namespace
+
+ViewStore::ViewStore(std::filesystem::path dir, DiskModel* disk)
+    : dir_(std::move(dir)), disk_(disk) {}
+
+template <typename Op>
+void ViewStore::WithDisk(const char* what, Op&& op) const {
+  DiskModel scratch;
+  DiskModel& disk = disk_ != nullptr ? *disk_ : scratch;
+  for (int attempt = 0;; ++attempt) {
+    try {
+      op(disk);
+      return;
+    } catch (const SncubeTransientIoError& e) {
+      if (attempt >= kMaxIoRetries) {
+        throw SncubeIoError(std::string(what) +
+                            ": transient I/O error persisted after " +
+                            std::to_string(kMaxIoRetries) +
+                            " retries: " + e.what());
+      }
+    }
+  }
 }
 
 CubeManifest ViewStore::LoadManifest() const {
-  const auto path = dir_ / kManifestName;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) throw SncubeIoError("missing manifest: " + path.string());
-  std::string text;
-  char chunk[1 << 14];
-  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
-    text.append(chunk, static_cast<std::size_t>(in.gcount()));
-    if (text.size() > kMaxManifestBytes) Corrupt("too large");
+  const ManifestLog log = ReadLog(dir_);
+  if (!log.exists) {
+    if (std::filesystem::exists(dir_ / "manifest.txt")) {
+      throw SncubeCorruptionError(
+          "manifest.txt: the text index of an older format, before the "
+          "epoch store; rebuild the cube directory with `sncube build`");
+    }
+    throw SncubeIoError("missing manifest: " + (dir_ / kManifestName).string());
   }
-  return ParseManifest(text);
+  if (!log.schema.has_value()) throw SncubeCorruptionError(log.error);
+  const std::vector<Record> committed = Committed(log.records);
+  if (committed.empty()) {
+    throw SncubeIoError("MANIFEST commits no epoch: " +
+                        (dir_ / kManifestName).string());
+  }
+  return {*log.schema, committed.back().epoch, committed.back().views};
 }
 
 void ViewStore::SaveCubeParts(std::span<const CubeResult> parts,
@@ -269,17 +338,31 @@ void ViewStore::SaveCube(const CubeResult& cube, const Schema& schema) const {
 }
 
 void ViewStore::Load(const ViewEntry& entry, ViewResult& view) const {
-  const auto path = PathFor(entry.id);
-  const std::string name = path.filename().string();
-  DiskModel disk;
+  const std::string name = FileOf(entry);
   ViewFrame frame{0, std::move(view)};
   try {
-    DecodeViewFrame(ReadSealedFile(path, disk), frame);
+    WithDisk("view read", [&](DiskModel& disk) {
+      DecodeViewFrame(
+          ReadSealedRange(dir_ / name, entry.offset, entry.bytes, disk),
+          frame);
+    });
   } catch (const SncubeCorruptionError& e) {
     throw SncubeCorruptionError(name + ": " + e.what());
   }
   view = std::move(frame.view);
-  CheckAgainstEntry(name, view.id, frame.epoch, view.rel.size(), entry);
+  if (view.id != entry.id) {
+    throw SncubeCorruptionError(name + " holds a different view");
+  }
+  if (frame.epoch != entry.epoch) {
+    throw SncubeCorruptionError(name + " holds a frame of epoch " +
+                                std::to_string(frame.epoch));
+  }
+  if (view.rel.size() != entry.rows) {
+    throw SncubeCorruptionError(name + " holds " +
+                                std::to_string(view.rel.size()) +
+                                " rows; the MANIFEST says " +
+                                std::to_string(entry.rows));
+  }
 }
 
 ViewResult ViewStore::Load(const ViewEntry& entry) const {
@@ -288,29 +371,192 @@ ViewResult ViewStore::Load(const ViewEntry& entry) const {
   return view;
 }
 
-void ViewStore::Check(const ViewEntry& entry) const {
-  const auto path = PathFor(entry.id);
-  const std::string name = path.filename().string();
-  DiskModel disk;
-  ViewFrameHeader header;
-  try {
-    header = DecodeViewFrameHeader(ReadSealedFile(path, disk));
-  } catch (const SncubeCorruptionError& e) {
-    throw SncubeCorruptionError(name + ": " + e.what());
-  }
-  CheckAgainstEntry(name, header.id, header.epoch, header.rows, entry);
-}
-
-bool ViewStore::Contains(ViewId id) const {
-  return std::filesystem::exists(PathFor(id));
-}
-
 CubeResult ViewStore::LoadCube() const {
   CubeResult cube;
   for (const ViewEntry& entry : LoadManifest().views) {
     cube.views.emplace(entry.id, Load(entry));
   }
   return cube;
+}
+
+void ViewStore::Clear() const {
+  std::filesystem::create_directories(dir_);
+  std::filesystem::remove(dir_ / kManifestName);
+  for (const ViewFile& file : ListViewFiles(dir_)) {
+    std::filesystem::remove(file.path);
+  }
+}
+
+void ViewStore::RemoveEpochsBelow(std::uint64_t epoch) const {
+  for (const ViewFile& file : ListViewFiles(dir_)) {
+    if (file.live && file.epoch < epoch) std::filesystem::remove(file.path);
+  }
+}
+
+RecoveredEpoch ViewStore::Recover() const {
+  RecoveredEpoch out;
+  const ManifestLog log = ReadLog(dir_);
+  const std::vector<Record> committed = Committed(log.records);
+  const auto set_aside = [&](const std::filesystem::path& path,
+                             const char* suffix) {
+    std::error_code ec;
+    const std::string target = path.string() + suffix;
+    std::filesystem::rename(path, target, ec);
+    if (!ec) out.set_aside.push_back(target);
+  };
+
+  // The newest committed epoch whose files all verify; a damaged file is
+  // set aside and recovery falls back to the next older commit.
+  for (auto it = committed.rbegin(); it != committed.rend(); ++it) {
+    CubeResult cube;
+    bool intact = true;
+    for (const ViewEntry& entry : it->views) {
+      try {
+        cube.views.emplace(entry.id, Load(entry));
+      } catch (const SncubeCorruptionError&) {
+        intact = false;
+        set_aside(dir_ / FileOf(entry), ".corrupt");
+      } catch (const SncubeIoError&) {
+        intact = false;  // missing: the MANIFEST records it
+      }
+    }
+    if (intact) {
+      out.has_cube = true;
+      out.epoch = it->epoch;
+      out.cube = std::move(cube);
+      break;
+    }
+  }
+
+  // Every file of an epoch no commit record names: a crash before the
+  // commit, or records torn off the MANIFEST's tail.
+  std::set<std::uint64_t> live;
+  for (const Record& rec : committed) live.insert(rec.epoch);
+  for (const ViewFile& file : ListViewFiles(dir_)) {
+    if (file.live && live.count(file.epoch) == 0) {
+      set_aside(file.path, ".quarantine");
+    }
+  }
+  return out;
+}
+
+ViewStore::Writer::Writer(const ViewStore& store, Schema schema,
+                          std::uint64_t epoch)
+    : store_(store), schema_(std::move(schema)), epoch_(epoch) {
+  if (epoch_ == 0) {
+    store_.Clear();
+    return;
+  }
+  std::filesystem::create_directories(store_.dir_);
+  const ManifestLog log = ReadLog(store_.dir_);
+  for (const Record& rec : Committed(log.records)) {
+    SNCUBE_CHECK_MSG(rec.epoch < epoch_,
+                     "epoch " + std::to_string(epoch_) +
+                         " is not newer than the store's committed epoch " +
+                         std::to_string(rec.epoch));
+  }
+  manifest_bytes_ = log.durable_bytes;
+  // Segments of this epoch no commit names (a killed attempt) would put
+  // garbage before the frames this writer appends.
+  for (const ViewFile& file : ListViewFiles(store_.dir_)) {
+    if (file.live && file.epoch == epoch_) std::filesystem::remove(file.path);
+  }
+}
+
+ViewStore::Writer::~Writer() {
+  if (done_) return;
+  // A destructor cannot throw: what cannot be removed stays, and no record
+  // names it.
+  std::error_code ec;
+  const auto manifest = store_.dir_ / kManifestName;
+  if (appended_ && manifest_bytes_ == 0) std::filesystem::remove(manifest, ec);
+  if (appended_ && manifest_bytes_ > 0) {
+    std::filesystem::resize_file(manifest, manifest_bytes_, ec);
+  }
+  for (const ViewEntry& entry : views_) {
+    std::filesystem::remove(store_.dir_ / FileOf(entry), ec);
+  }
+}
+
+void ViewStore::Writer::Write(const ViewResult& view) {
+  Put(view.id, view.rel.size(), EncodeViewFrame(view, epoch_));
+}
+
+void ViewStore::Writer::Write(ViewId id, const std::vector<int>& order,
+                              std::span<const Relation* const> parts) {
+  std::uint64_t rows = 0;
+  for (const Relation* rel : parts) rows += rel->size();
+  Put(id, rows,
+      EncodeViewFrame(id, order, /*selected=*/true, epoch_, parts));
+}
+
+void ViewStore::Writer::Put(ViewId id, std::uint64_t rows,
+                            std::span<const std::byte> frame) {
+  SNCUBE_CHECK_MSG(!prepared_, "view written after its epoch's prepare");
+  SNCUBE_CHECK_MSG(epoch_ == 0 || views_.empty() || views_.back().id < id,
+                   "a segment takes its views in ascending mask order");
+  ViewEntry entry{id, rows, epoch_};
+  entry.bytes = frame.size() + kFrameTrailerBytes;
+  if (epoch_ != 0) {
+    PlaceInSegment(views_.empty() ? nullptr : &views_.back(), entry);
+  }
+  // Recorded first, so a drop removes a file whose write failed midway.
+  views_.push_back(entry);
+  const auto path = store_.dir_ / FileOf(entry);
+  store_.WithDisk("view write", [&](DiskModel& disk) {
+    const std::uint64_t sealed = epoch_ == 0
+                                     ? WriteSealedFile(path, frame, disk)
+                                     : AppendSealedFrame(path, frame, disk);
+    SNCUBE_CHECK(sealed == entry.bytes);
+  });
+}
+
+void ViewStore::Writer::Append(const std::string& record) {
+  const auto manifest = store_.dir_ / kManifestName;
+  if (!appended_) {
+    appended_ = true;
+    if (std::filesystem::exists(manifest)) {
+      std::filesystem::resize_file(manifest, manifest_bytes_);
+    }
+    if (manifest_bytes_ == 0) {
+      store_.WithDisk("manifest append", [&](DiskModel& disk) {
+        AppendSealedLine(manifest, SchemaRecord(schema_), disk);
+      });
+    }
+  }
+  store_.WithDisk("manifest append", [&](DiskModel& disk) {
+    AppendSealedLine(manifest, record, disk);
+  });
+}
+
+void ViewStore::Writer::Prepare() {
+  SNCUBE_CHECK_MSG(!prepared_, "epoch prepared twice");
+  std::sort(views_.begin(), views_.end(),
+            [](const ViewEntry& a, const ViewEntry& b) { return a.id < b.id; });
+  std::string record = "prepare " + std::to_string(epoch_);
+  for (std::size_t i = 0; i < views_.size(); ++i) {
+    SNCUBE_CHECK_MSG(i == 0 || views_[i - 1].id < views_[i].id,
+                     "view written twice");
+    char entry[64];
+    std::snprintf(entry, sizeof(entry), " %x:%llu:%llu", views_[i].id.mask(),
+                  static_cast<unsigned long long>(views_[i].rows),
+                  static_cast<unsigned long long>(views_[i].bytes));
+    record += entry;
+  }
+  prepared_ = true;
+  Append(record);
+}
+
+void ViewStore::Writer::CommitShard(int shard) {
+  SNCUBE_CHECK_MSG(prepared_, "commitshard before prepare");
+  Append("commitshard " + std::to_string(epoch_) + ' ' +
+         std::to_string(shard));
+}
+
+void ViewStore::Writer::Commit() {
+  if (!prepared_) Prepare();
+  Append("commit " + std::to_string(epoch_));
+  done_ = true;
 }
 
 }  // namespace sncube

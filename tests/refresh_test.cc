@@ -1,9 +1,10 @@
-// Online refresh tests (DESIGN.md §14): delta merge correctness, snapshot
-// store durability + recovery, the ShardSet epoch surface, and THE
-// crash-safety acceptance matrix — the refresh coordinator killed at every
-// phase of the two-phase swap, for p ∈ {2, 4}, must leave a restarted
-// server serving a cube byte-identical to either the pre-refresh or the
-// post-refresh golden cube. Never a blend, never a half-installed epoch.
+// Refresh tests (DESIGN.md §14): delta merge correctness, the offline
+// refresh of a cube directory and its crash matrix, the ShardSet epoch
+// surface, and THE crash-safety acceptance matrix — the refresh coordinator
+// killed at every phase of the two-phase swap, for p ∈ {2, 4}, must leave a
+// restarted server serving a cube byte-identical to either the pre-refresh
+// or the post-refresh golden cube. Never a blend, never a half-installed
+// epoch.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -12,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -26,7 +28,6 @@
 #include "query/greedy_select.h"
 #include "refresh/delta.h"
 #include "refresh/refresh.h"
-#include "refresh/snapshot.h"
 #include "relation/aggregate.h"
 #include "relation/sort.h"
 #include "seqcube/seq_cube.h"
@@ -181,28 +182,43 @@ std::string FileBytes(const std::filesystem::path& path) {
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
-// Same entry names, byte-identical regular files (subdirectories by name).
-void ExpectSameFiles(const std::filesystem::path& got,
-                     const std::filesystem::path& want, const std::string& what) {
-  const auto names = [](const std::filesystem::path& dir) {
-    std::set<std::string> out;
-    for (const auto& e : std::filesystem::directory_iterator(dir)) {
-      out.insert(e.path().filename().string());
-    }
-    return out;
-  };
-  EXPECT_EQ(names(got), names(want)) << what;
-  for (const auto& name : names(want)) {
-    if (!std::filesystem::is_regular_file(want / name)) continue;
-    EXPECT_EQ(FileBytes(got / name), FileBytes(want / name))
-        << what << ": " << name;
+// Every regular file of a directory, by name.
+std::map<std::string, std::string> DirBytes(const std::filesystem::path& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    EXPECT_TRUE(e.is_regular_file()) << e.path();  // the layout is flat
+    out[e.path().filename().string()] = FileBytes(e.path());
   }
+  return out;
+}
+
+// The live files of epoch `epoch` >= 1 (its segments, not set aside), by
+// name.
+std::map<std::string, std::string> EpochFiles(const std::filesystem::path& dir,
+                                              std::uint64_t epoch) {
+  const std::string segment = "e" + std::to_string(epoch) + ".";
+  std::map<std::string, std::string> out;
+  for (auto& [name, bytes] : DirBytes(dir)) {
+    if (name.rfind(segment, 0) == 0 && name.ends_with(".sncv")) {
+      out[name] = std::move(bytes);
+    }
+  }
+  return out;
+}
+
+// Writes `cube` (every view, auxiliaries included) as epoch `epoch` of the
+// store at `dir` and commits it.
+void CommitEpoch(const std::filesystem::path& dir, const Schema& schema,
+                 std::uint64_t epoch, const CubeResult& cube) {
+  ViewStore::Writer writer(ViewStore(dir), schema, epoch);
+  for (const auto& [id, vr] : cube.views) writer.Write(vr);
+  writer.Commit();
 }
 
 // The streamed refresh of a cube directory (what `sncube refresh` runs)
-// leaves exactly the bytes of the whole-cube path that RefreshCoordinator
-// takes, on a full cube and on greedy partial cubes, and hands every merged
-// view to its callback in ascending mask order.
+// commits the next epoch with exactly the bytes of the whole-cube path, on
+// a full cube and on greedy partial cubes, and leaves the MANIFEST and that
+// epoch's files only.
 TEST(DeltaMerge, StreamedStoreRefreshMatchesWholeCubePath) {
   const DatasetSpec spec = BaseSpec();
   const Schema schema = spec.MakeSchema();
@@ -223,19 +239,23 @@ TEST(DeltaMerge, StreamedStoreRefreshMatchesWholeCubePath) {
       streamed.SaveCube(cube, schema);
       whole.SaveCube(cube, schema);
 
-      std::vector<ViewEntry> seen;
-      const StoreRefreshResult result = RefreshViewStore(
-          streamed, streamed.LoadManifest(), delta,
-          [&](const ViewResult& vr) { seen.push_back({vr.id, vr.rel.size()}); });
+      const StoreRefreshResult result =
+          RefreshViewStore(streamed, streamed.LoadManifest(), delta);
 
       const CubeResult base = whole.LoadCube();
       const CubeResult merged = MergeDeltaCube(
           base, ComputeDeltaCube(delta, schema, AffectedViews(base, delta)));
-      whole.SaveCube(merged, schema);
+      CommitEpoch(whole.dir(), schema, 1, merged);
+      whole.RemoveEpochsBelow(1);
 
-      ExpectSameFiles(dir / "streamed", dir / "whole", what);
-      EXPECT_EQ(seen, IndexOf(merged)) << what;
-      EXPECT_EQ(result.views_refreshed, delta.empty() ? 0u : seen.size())
+      EXPECT_EQ(DirBytes(dir / "streamed"), DirBytes(dir / "whole")) << what;
+      // The MANIFEST and epoch 1's one segment (a small cube).
+      EXPECT_EQ(DirBytes(dir / "streamed").size(), 2u) << what;
+      EXPECT_EQ(streamed.LoadManifest().views, whole.LoadManifest().views)
+          << what;
+      EXPECT_EQ(result.epoch, 1u) << what;
+      EXPECT_EQ(result.views_refreshed,
+                delta.empty() ? 0u : IndexOf(merged).size())
           << what;
       EXPECT_EQ(result.merged_rows, merged.TotalRows()) << what;
     }
@@ -243,8 +263,110 @@ TEST(DeltaMerge, StreamedStoreRefreshMatchesWholeCubePath) {
   std::filesystem::remove_all(dir);
 }
 
+// Each group-by of a cube directory as `sncube query` answers it: route on
+// the newest committed index, load the routed view, execute. A typed error
+// fails the test.
+std::vector<Relation> AnswerEveryGroupBy(const std::filesystem::path& dir) {
+  const ViewStore store(dir);
+  const CubeManifest manifest = store.LoadManifest();
+  std::vector<Relation> answers;
+  for (const ViewId v : AllViews(manifest.schema.dims())) {
+    Query q;
+    q.group_by = v;
+    const ViewEntry& routed = RouteQuery(q, manifest.views);
+    q.from_view = routed.id;
+    CubeResult one;
+    one.views.emplace(routed.id, store.Load(routed));
+    answers.push_back(CubeQueryEngine(one).Execute(q).rel);
+  }
+  return answers;
+}
+
+// Thrown by CrashAtWrite in place of the write it stops.
+struct Crash {};
+
+// Copies the store's directory and then throws at the store's k-th write (a
+// view file or a MANIFEST append): the copy is the directory a crash at
+// that write leaves, whatever the writer's cleanup does afterwards.
+class CrashAtWrite : public DiskFaultHook {
+ public:
+  CrashAtWrite(std::filesystem::path dir, std::filesystem::path copy, int k)
+      : dir_(std::move(dir)), copy_(std::move(copy)), k_(k) {}
+  bool NextOpFails(bool is_write) override {
+    if (!is_write || ++writes_ != k_) return false;
+    std::filesystem::copy(dir_, copy_);
+    throw Crash{};
+  }
+  int writes() const { return writes_; }
+
+ private:
+  std::filesystem::path dir_;
+  std::filesystem::path copy_;
+  int k_;
+  int writes_ = 0;
+};
+
+// The offline refresh is old-or-new at every write: a crash before the
+// commit record lands leaves a directory every fresh reader answers exactly
+// as before the refresh, and once it lands (whole, with the old epoch's
+// files still there) exactly as after. Never a typed error, never a blend;
+// and a refresh that throws leaves every byte of the directory as it was.
+TEST(DeltaMerge, StoreRefreshCrashAtEveryWriteAnswersOldOrNew) {
+  const DatasetSpec spec = BaseSpec();
+  const Schema schema = spec.MakeSchema();
+  const Relation delta = GenerateSlice(DeltaSpec(), 1, 0);
+  const auto root = FreshDir("store_crash");
+  const auto cube_dir = root / "cube";
+  ViewStore(cube_dir).SaveCube(
+      SequentialCube(GenerateSlice(spec, 1, 0), schema, AllViews(3)), schema);
+  const auto base_bytes = DirBytes(cube_dir);
+  const std::vector<Relation> before = AnswerEveryGroupBy(cube_dir);
+
+  // The fault-free refresh, for the after answers and the write count.
+  const auto done_dir = root / "done";
+  std::filesystem::copy(cube_dir, done_dir);
+  CrashAtWrite never(done_dir, root / "unused", 0);
+  DiskModel counting;
+  counting.set_fault_hook(&never);
+  const ViewStore done(done_dir, &counting);
+  RefreshViewStore(done, done.LoadManifest(), delta);
+  const std::vector<Relation> after = AnswerEveryGroupBy(done_dir);
+  ASSERT_NE(before, after);
+  const int writes = never.writes();
+  ASSERT_EQ(writes, 8 + 2);  // 8 view files, then prepare and commit
+
+  std::filesystem::path before_commit;
+  for (int k = 1; k <= writes; ++k) {
+    SCOPED_TRACE("crash at write " + std::to_string(k));
+    const auto copy = root / ("crash" + std::to_string(k));
+    CrashAtWrite hook(cube_dir, copy, k);
+    DiskModel disk;
+    disk.set_fault_hook(&hook);
+    const ViewStore store(cube_dir, &disk);
+    EXPECT_THROW(RefreshViewStore(store, store.LoadManifest(), delta), Crash);
+    EXPECT_EQ(DirBytes(cube_dir), base_bytes);
+    EXPECT_EQ(AnswerEveryGroupBy(copy), before);
+    before_commit = copy;
+  }
+
+  // Every cut of the commit record over the state it was appended to.
+  std::string manifest = FileBytes(before_commit / "MANIFEST");
+  const std::string full = FileBytes(done_dir / "MANIFEST");
+  ASSERT_EQ(full.substr(0, manifest.size()), manifest);
+  const std::string commit = full.substr(manifest.size());
+  ASSERT_EQ(commit.rfind("commit 1 ", 0), 0u) << commit;
+  for (std::size_t n = 0; n <= commit.size(); ++n) {
+    SCOPED_TRACE("commit record cut to " + std::to_string(n) + " bytes");
+    std::ofstream(before_commit / "MANIFEST", std::ios::binary | std::ios::trunc)
+        << manifest + commit.substr(0, n);
+    EXPECT_EQ(AnswerEveryGroupBy(before_commit),
+              n == commit.size() ? after : before);
+  }
+  std::filesystem::remove_all(root);
+}
+
 // ---------------------------------------------------------------------------
-// Snapshot store
+// ShardSet epoch surface
 // ---------------------------------------------------------------------------
 
 CubeResult SmallCube(std::uint64_t seed) {
@@ -254,127 +376,6 @@ CubeResult SmallCube(std::uint64_t seed) {
   return SequentialCube(GenerateSlice(spec, 1, 0), schema,
                         AllViews(schema.dims()));
 }
-
-TEST(SnapshotStore, WriteCommitLoadRoundTripsByteIdentical) {
-  const auto dir = FreshDir("roundtrip");
-  DiskModel disk;
-  SnapshotStore store(dir.string(), disk);
-  const CubeResult cube = SmallCube(17);
-  store.WriteEpoch(1, cube);
-  store.AppendCommit(1);
-  ExpectCubesIdentical(store.LoadEpoch(1), cube, "LoadEpoch");
-
-  const RecoveredSnapshot rec = store.Recover();
-  ASSERT_TRUE(rec.has_cube);
-  EXPECT_EQ(rec.epoch, 1u);
-  EXPECT_TRUE(rec.quarantined.empty());
-  ExpectCubesIdentical(rec.cube, cube, "Recover");
-  std::filesystem::remove_all(dir);
-}
-
-TEST(SnapshotStore, PerViewWritesMatchWriteEpoch) {
-  const auto dir = FreshDir("perview");
-  DiskModel disk;
-  SnapshotStore whole((dir / "whole").string(), disk);
-  SnapshotStore streamed((dir / "streamed").string(), disk);
-  const CubeResult cube = SmallCube(17);
-  whole.WriteEpoch(1, cube);
-  std::vector<std::uint32_t> masks;
-  for (const auto& [id, vr] : cube.views) {
-    streamed.WriteEpochView(1, vr);
-    masks.push_back(id.mask());
-  }
-  streamed.AppendPrepare(1, masks);
-  ExpectSameFiles(dir / "streamed", dir / "whole", "store root");
-  ExpectSameFiles(dir / "streamed" / "epoch_1", dir / "whole" / "epoch_1",
-                  "epoch 1");
-  std::filesystem::remove_all(dir);
-}
-
-TEST(SnapshotStore, RecoverQuarantinesUncommittedEpochAndServesCommitted) {
-  const auto dir = FreshDir("uncommitted");
-  DiskModel disk;
-  SnapshotStore store(dir.string(), disk);
-  const CubeResult old_cube = SmallCube(17);
-  const CubeResult new_cube = SmallCube(18);
-  store.WriteEpoch(1, old_cube);
-  store.AppendCommit(1);
-  // Epoch 2 prepared (files + record) but never committed: the crash window
-  // between "prepare" and "commit".
-  store.WriteEpoch(2, new_cube);
-  store.AppendCommitShard(2, 0);
-
-  const RecoveredSnapshot rec = store.Recover();
-  ASSERT_TRUE(rec.has_cube);
-  EXPECT_EQ(rec.epoch, 1u);
-  ExpectCubesIdentical(rec.cube, old_cube, "Recover after half-install");
-  // The half-installed directory is quarantined, not deleted and not live.
-  ASSERT_EQ(rec.quarantined.size(), 1u);
-  EXPECT_NE(rec.quarantined[0].find("epoch_2.quarantine"), std::string::npos);
-  EXPECT_FALSE(std::filesystem::exists(dir / "epoch_2"));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(SnapshotStore, RecoverFallsBackPastCorruptCommittedEpoch) {
-  const auto dir = FreshDir("corrupt");
-  DiskModel disk;
-  SnapshotStore store(dir.string(), disk);
-  const CubeResult old_cube = SmallCube(17);
-  const CubeResult new_cube = SmallCube(18);
-  store.WriteEpoch(1, old_cube);
-  store.AppendCommit(1);
-  store.WriteEpoch(2, new_cube);
-  store.AppendCommit(2);
-
-  // Silent single-byte corruption of one epoch-2 view frame after commit —
-  // the CRC trailer must catch it and recovery must fall back to epoch 1.
-  const auto victim = dir / "epoch_2" / "v00001.snap";
-  ASSERT_TRUE(std::filesystem::exists(victim));
-  {
-    std::fstream f(victim, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(12);
-    char byte = 0;
-    f.seekg(12);
-    f.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x40);
-    f.seekp(12);
-    f.write(&byte, 1);
-  }
-
-  const RecoveredSnapshot rec = store.Recover();
-  ASSERT_TRUE(rec.has_cube);
-  EXPECT_EQ(rec.epoch, 1u);
-  ExpectCubesIdentical(rec.cube, old_cube, "fallback");
-  bool saw_corrupt = false;
-  for (const auto& q : rec.quarantined) {
-    if (q.find("v00001.snap.corrupt") != std::string::npos) saw_corrupt = true;
-  }
-  EXPECT_TRUE(saw_corrupt);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(SnapshotStore, TornManifestTailEndsDurablePrefix) {
-  const auto dir = FreshDir("torntail");
-  DiskModel disk;
-  SnapshotStore store(dir.string(), disk);
-  const CubeResult cube = SmallCube(17);
-  store.WriteEpoch(1, cube);
-  store.AppendCommit(1);
-  // A torn append: half a record with no valid seal. Everything before it
-  // must stay durable; the junk must not be parsed as a record.
-  {
-    std::ofstream f(dir / "MANIFEST", std::ios::app);
-    f << "commit 99";  // no CRC, no newline discipline
-  }
-  const RecoveredSnapshot rec = store.Recover();
-  ASSERT_TRUE(rec.has_cube);
-  EXPECT_EQ(rec.epoch, 1u);
-  std::filesystem::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------------
-// ShardSet epoch surface
-// ---------------------------------------------------------------------------
 
 TEST(ShardSetEpochs, TwoPhaseSwapServesPinnedEpochThenRetires) {
   const CubeResult old_cube = SmallCube(17);
@@ -475,8 +476,8 @@ Relation OneSliceDelta(const Schema& schema, int shards) {
 }
 
 // After every Refresh the hosted slices are exactly the partition of the
-// whole-cube merge, and the epoch's snapshot files are exactly what
-// WriteEpoch writes for that merged cube: shards 1-4, full and partial
+// whole-cube merge, and the epoch's view files are exactly what the store's
+// writer writes for that merged cube: shards 1-4, full and partial
 // cubes (auxiliary views included), sum/min/max, and three stacked
 // refreshes per set — a random delta, an empty one, and one whose rows all
 // hash to a single slice.
@@ -512,8 +513,6 @@ TEST(RefreshSlices, HostedSlicesAndSnapshotsMatchTheWholeCubeMerge) {
         ropts.fn = fn;
         RefreshCoordinator coordinator(
             set, std::make_shared<const CubeResult>(cube), schema, ropts);
-        DiskModel disk;
-        SnapshotStore whole((dir / "whole").string(), disk);
 
         const Relation one_slice = OneSliceDelta(schema, shards);
         {
@@ -549,10 +548,10 @@ TEST(RefreshSlices, HostedSlicesAndSnapshotsMatchTheWholeCubeMerge) {
             ExpectCubesIdentical((*hosted)[s], expect[s],
                                  at + ", slice " + std::to_string(s));
           }
-          whole.WriteEpoch(epoch, want);
-          const std::string epoch_dir = "epoch_" + std::to_string(epoch);
-          ExpectSameFiles(dir / "live" / epoch_dir, dir / "whole" / epoch_dir,
-                          at);
+          CommitEpoch(dir / "whole", schema, epoch, want);
+          EXPECT_EQ(EpochFiles(dir / "live", epoch),
+                    EpochFiles(dir / "whole", epoch))
+              << at;
         }
         set.Shutdown();
         std::filesystem::remove_all(dir);
@@ -623,8 +622,7 @@ TEST(RefreshCrashSafety, KilledAtEveryPhaseRecoversToOldOrNewGolden) {
       // Simulated restart: a fresh process recovers from the store alone
       // and falls back to the pre-refresh base when nothing committed.
       DiskModel disk;
-      SnapshotStore store(dir.string(), disk);
-      const RecoveredSnapshot rec = store.Recover();
+      const RecoveredEpoch rec = ViewStore(dir, &disk).Recover();
       const CubeResult& served = rec.has_cube ? rec.cube : rig.pre;
 
       if (phase <= 4) {
@@ -641,8 +639,7 @@ TEST(RefreshCrashSafety, KilledAtEveryPhaseRecoversToOldOrNewGolden) {
       // not serveable.
       EXPECT_TRUE(CubesIdentical(served, rig.pre) ||
                   CubesIdentical(served, rig.post));
-      EXPECT_FALSE(std::filesystem::exists(dir / "epoch_1") &&
-                   !rec.has_cube);
+      EXPECT_FALSE(!EpochFiles(dir, 1).empty() && !rec.has_cube);
 
       // The recovered cube actually serves: spot-check one query against
       // the matching golden engine.
@@ -681,8 +678,7 @@ TEST(RefreshCrashSafety, CompletedRefreshInstallsDurableNewEpoch) {
 
   // Durable state agrees with what is being served.
   DiskModel disk;
-  SnapshotStore store(dir.string(), disk);
-  const RecoveredSnapshot rec = store.Recover();
+  const RecoveredEpoch rec = ViewStore(dir, &disk).Recover();
   ASSERT_TRUE(rec.has_cube);
   EXPECT_EQ(rec.epoch, 1u);
   ExpectCubesIdentical(rec.cube, rig.post, "durable");
@@ -691,6 +687,45 @@ TEST(RefreshCrashSafety, CompletedRefreshInstallsDurableNewEpoch) {
   EXPECT_EQ(coordinator.Refresh(rig.delta), 2u);
   EXPECT_EQ(set.serving_epoch(), 2u);
   EXPECT_EQ(set.HostedEpochs(), (std::vector<std::uint64_t>{1, 2}));
+  set.Shutdown();
+  std::filesystem::remove_all(dir);
+}
+
+// The coordinator's store is a cube directory: after every Refresh a plain
+// reader loads exactly the serving epoch's cube, auxiliary views included,
+// and the directory is flat, holding the serving epoch and the one before.
+TEST(RefreshCrashSafety, CoordinatorStoreIsACubeDirectory) {
+  const DatasetSpec spec = BaseSpec();
+  const Schema schema = spec.MakeSchema();
+  const CubeResult cube =
+      SequentialCube(GenerateSlice(spec, 1, 0), schema,
+                     {ViewId::FromDims({0, 1}), ViewId::FromDims({0, 2})});
+  ASSERT_GT(cube.views.size(), IndexOf(cube).size());  // auxiliaries
+  const auto dir = FreshDir("coordinator_store");
+  ManualServeClock clock;
+  ShardSetOptions sopts;
+  sopts.shards = 3;
+  sopts.clock = &clock;
+  sopts.server.workers = 1;
+  sopts.server.deadline = std::chrono::microseconds(0);
+  ShardSet set(cube, sopts);
+  RefreshOptions ropts;
+  ropts.dir = (dir / "store").string();
+  RefreshCoordinator coordinator(
+      set, std::make_shared<const CubeResult>(cube), schema, ropts);
+  for (std::uint64_t k = 1; k <= 3; ++k) {
+    DatasetSpec dspec = DeltaSpec();
+    dspec.seed += k;
+    EXPECT_EQ(coordinator.Refresh(GenerateSlice(dspec, 1, 0)), k);
+    const ViewStore store(dir / "store");
+    EXPECT_EQ(store.LoadManifest().epoch, k);
+    ExpectCubesIdentical(store.LoadCube(),
+                         AssembleServingCube(*set.Slices(k)),
+                         "epoch " + std::to_string(k));
+    // The MANIFEST and the one segment of each of epochs k - 1 (if any)
+    // and k (a small cube).
+    EXPECT_EQ(DirBytes(dir / "store").size(), k == 1 ? 2u : 3u);
+  }
   set.Shutdown();
   std::filesystem::remove_all(dir);
 }

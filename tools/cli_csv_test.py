@@ -10,27 +10,34 @@
 3. Bad cells (negative, out of range, empty, non-numeric, trailing garbage,
    and the code 2^32-1) make `build` fail, naming the line or the code.
 4. `build --procs 3` and `--threads-per-rank 2` write a cube directory
-   byte-identical to `--procs 1`, manifest included, full and partial.
+   byte-identical to `--procs 1`, MANIFEST included, full and partial, and
+   so does each of two `refresh` runs over them.
 5. `query --where`/`--top` reject malformed numbers with a usage error
-   (exit 2), and format-1 and format-2 manifests are refused with a hint
-   to rebuild. Unknown flags (`query --wher`, `build --backend`/`--proc`),
+   (exit 2), and directories of formats 1 to 3 (a text `manifest.txt`
+   index) are refused with a hint to rebuild. Unknown flags (`query
+   --wher`, `build --backend`/`--proc`, `refresh --snapshot-dir`),
    malformed or out-of-range numbers of `build`, `generate`, `serve` and
    `chaos` (comma lists included), and flags the chosen mode would ignore
    (`serve --retries` at one shard, `chaos --shards` without `--serve`,
    `build --gamma`/`--local-trees` at one processor)
    are usage errors too, with nothing on stdout and no output written.
-6. `refresh --snapshot-dir` commits epochs 1 and 2, each with one snapshot
-   file per view of the cube's index, while the view-by-view rewrite of
-   the cube directory still answers right.
+6. Two `refresh` runs commit epochs 1 and 2; each leaves the MANIFEST and
+   its epoch's segment only, and the answers are right.
 7. One flipped byte in the view file a query routes to makes `query` exit
    nonzero with nothing on stdout, and `refresh` exit nonzero. One flipped
-   byte in the last view in mask order makes `refresh` exit 1 before it
-   rewrites anything: the manifest and every other view file keep their
-   bytes, and every check query answers byte-identically to before.
+   byte in the last view in mask order makes `refresh` exit 1 after it has
+   written every other view of the next epoch: the MANIFEST and every view
+   file keep their bytes, and every check query answers byte-identically
+   to before.
+8. `info`, `query`, `refresh` and `serve` pointed at a missing directory
+   exit 1 and leave no path behind.
+9. `serve --refresh-every` without `--snapshot-dir` and the three `chaos`
+   searches leave nothing in TMPDIR.
 """
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -92,6 +99,33 @@ def dir_bytes(path):
     return {f.name: f.read_bytes() for f in sorted(Path(path).iterdir())}
 
 
+def manifest_records(cube):
+    """The records of a cube directory's MANIFEST, seals (" crc <8-hex>")
+    stripped."""
+    return [line.rsplit(" crc ", 1)[0]
+            for line in (Path(cube) / "MANIFEST").read_text().splitlines()]
+
+
+def committed_index(cube):
+    """(dimension names, epoch, [(mask, rows)]) of the newest commit."""
+    records = manifest_records(cube)
+    names = records[0].split()[3::2]
+    prepared, epoch = {}, None
+    for record in records[1:]:
+        fields = record.split()
+        if fields[0] == "prepare":
+            prepared[fields[1]] = [(int(m, 16), int(r)) for m, r, _ in
+                                   (f.split(":") for f in fields[2:])]
+        elif fields[0] == "commit":
+            epoch = fields[1]
+    return names, int(epoch), prepared[epoch]
+
+
+def view_file(cube, mask):
+    """A built (epoch 0) view's own file."""
+    return Path(cube) / f"v{mask:05x}.e0.sncv"
+
+
 def check_parallel_builds_identical(binary, tmp):
     facts = tmp / "gen.csv"
     out = run(binary, "generate", "--rows", 3000, "--cards", "16,8,4,3",
@@ -107,40 +141,42 @@ def check_parallel_builds_identical(binary, tmp):
                       *views)
             if out.returncode != 0:
                 raise AssertionError(f"build {flags} failed: {out.stderr}")
-            dirs[name] = dir_bytes(cube)
-        if "manifest.txt" not in dirs["p1"]:
-            raise AssertionError("build wrote no manifest.txt")
-        for name in ("p3", "w2"):
-            if dirs[name] != dirs["p1"]:
-                raise AssertionError(f"{name} {views} cube directory differs "
-                                     f"from p1's")
+            dirs[name] = cube
+        if "MANIFEST" not in dir_bytes(dirs["p1"]):
+            raise AssertionError("build wrote no MANIFEST")
+        for step in ("build", "refresh 1", "refresh 2"):
+            if step != "build":
+                for cube in dirs.values():
+                    out = run(binary, "refresh", "--cube", cube, "--delta",
+                              facts)
+                    if out.returncode != 0:
+                        raise AssertionError(f"{step} failed: {out.stderr}")
+            for name in ("p3", "w2"):
+                if dir_bytes(dirs[name]) != dir_bytes(dirs["p1"]):
+                    raise AssertionError(f"{name} {views} cube directory "
+                                         f"differs from p1's after {step}")
 
 
-def check_refresh_snapshots(binary, tmp):
-    cube, snap = tmp / "cube_snap", tmp / "snap"
+def check_two_refreshes(binary, tmp):
+    cube = tmp / "cube_twice"
     out = run(binary, "build", "--in", tmp / "facts.csv", "--out", cube)
     if out.returncode != 0:
         raise AssertionError(f"build failed: {out.stderr}")
-    views = [line.split()[0] for line in
-             (cube / "manifest.txt").read_text().splitlines()
-             if line.startswith("v")]
     for epoch in (1, 2):
         out = run(binary, "refresh", "--cube", cube, "--delta",
-                  tmp / "delta.csv", "--snapshot-dir", snap)
-        if out.returncode != 0 or \
-                json.loads(out.stdout)["snapshot_epoch"] != epoch:
+                  tmp / "delta.csv")
+        if out.returncode != 0 or json.loads(out.stdout)["epoch"] != epoch:
             raise AssertionError(f"refresh into epoch {epoch}: exit "
                                  f"{out.returncode}, {out.stdout!r} "
                                  f"{out.stderr!r}")
-        files = sorted(f.stem for f in (snap / f"epoch_{epoch}").iterdir())
-        if files != views:
-            raise AssertionError(f"epoch {epoch} holds {files}, expected "
-                                 f"the indexed views {views}")
-        if f"commit {epoch} " not in \
-                (snap / "MANIFEST").read_text(errors="replace"):
-            raise AssertionError(f"snapshot MANIFEST lacks commit {epoch}")
-    check_answers(binary, cube, FACTS + DELTA + DELTA,
-                  "two refreshes with --snapshot-dir")
+        _, committed, _ = committed_index(cube)
+        want = ["MANIFEST", f"e{epoch}.0.sncv"]  # a small epoch: one segment
+        files = sorted(f.name for f in cube.iterdir())
+        if committed != epoch or files != want:
+            raise AssertionError(f"after refresh {epoch} the directory holds "
+                                 f"{files} (epoch {committed}), expected "
+                                 f"{want}")
+    check_answers(binary, cube, FACTS + DELTA + DELTA, "two refreshes")
 
 
 def check_query_flags(binary, cube):
@@ -240,6 +276,11 @@ def check_usage_errors(binary, tmp, cube):
     calls.append((sharded + ["--refresh-rows", "5"], "--refresh-rows"))
     calls.append((sharded + ["--snapshot-dir", tmp / "snaps"],
                   "--snapshot-dir"))
+    # The online refreshes start their store empty: never the served cube.
+    calls.append((sharded + ["--refresh-every", "5", "--snapshot-dir", cube],
+                  "--snapshot-dir"))
+    calls.append((["refresh", "--cube", cube, "--delta", facts,
+                   "--snapshot-dir", tmp / "snaps"], "--snapshot-dir"))
     chaos = ["chaos", "--plans", "1", "--rows", "50"]
     for flag, value in (("--plans", "1x"), ("--plans", "0"), ("--rows", "x"),
                         ("--seed", "1.5"), ("--procs", "2,x"),
@@ -266,19 +307,24 @@ def check_usage_errors(binary, tmp, cube):
                                  f"error naming {flag})")
 
 
-def check_old_formats_refused(binary, cube):
-    manifest = (cube / "manifest.txt").read_text()
-    assert manifest.startswith("sncube-manifest 3\n"), manifest[:20]
-    for old in (manifest.replace("sncube-manifest 3", "sncube-manifest 2", 1),
+def check_old_formats_refused(binary, tmp):
+    cube = tmp / "cube_old"
+    cube.mkdir()
+    index = "2\nD1 10\nD0 2\n2\nv00000 1\nv00001 10\nend\n"
+    for old in ("sncube-manifest 3\n" + index, "sncube-manifest 2\n" + index,
                 "sncube-manifest 1\n2\nD1 10\nD0 2\n"):
         (cube / "manifest.txt").write_text(old)
         for argv in (["query", "--cube", cube, "--group-by", "D0"],
-                     ["info", "--cube", cube]):
+                     ["info", "--cube", cube],
+                     ["refresh", "--cube", cube, "--delta",
+                      tmp / "delta.csv"]):
             out = run(binary, *argv)
             if out.returncode != 1 or "rebuild" not in out.stderr:
                 raise AssertionError(f"{argv[0]} on {old[:17]!r}: exit "
                                      f"{out.returncode}, stderr "
                                      f"{out.stderr!r}")
+        if sorted(f.name for f in cube.iterdir()) != ["manifest.txt"]:
+            raise AssertionError("a refused old directory was written to")
 
 
 def check_flipped_byte_refused(binary, tmp):
@@ -288,9 +334,8 @@ def check_flipped_byte_refused(binary, tmp):
     out = run(binary, "build", "--in", tmp / "facts.csv", "--out", cube)
     if out.returncode != 0:
         raise AssertionError(f"build failed: {out.stderr}")
-    lines = (cube / "manifest.txt").read_text().splitlines()
-    names = [line.split()[0] for line in lines[2:2 + int(lines[1])]]
-    view = cube / f"v{1 << names.index('D0'):05x}.sncv"
+    names, _, _ = committed_index(cube)
+    view = view_file(cube, 1 << names.index("D0"))
     data = bytearray(view.read_bytes())
     data[len(data) - 17] ^= 0x01  # the last row's measure, before the seal
     view.write_bytes(bytes(data))
@@ -306,8 +351,10 @@ def check_flipped_byte_refused(binary, tmp):
 
 
 def check_damaged_view_keeps_the_directory(binary, tmp):
-    """Refresh checks every indexed file before it rewrites the first, so
-    damage in the last view in mask order costs nothing else."""
+    """Refresh writes the next epoch beside the committed one, so damage in
+    the last view in mask order, met after every other view of the new
+    epoch is written, costs nothing: the refused refresh removes what it
+    wrote."""
     cube = tmp / "cube_damaged"
     out = run(binary, "build", "--in", tmp / "facts.csv", "--out", cube)
     if out.returncode != 0:
@@ -323,10 +370,8 @@ def check_damaged_view_keeps_the_directory(binary, tmp):
         return record
 
     answers = [answer(q) for q in queries]
-    lines = (cube / "manifest.txt").read_text().splitlines()
-    d = int(lines[1])
-    entries = lines[3 + d:3 + d + int(lines[2 + d])]
-    view = cube / f"{entries[-1].split()[0]}.sncv"
+    _, _, entries = committed_index(cube)
+    view = view_file(cube, entries[-1][0])
     data = bytearray(view.read_bytes())
     data[len(data) // 2] ^= 0x01
     view.write_bytes(bytes(data))
@@ -343,6 +388,42 @@ def check_damaged_view_keeps_the_directory(binary, tmp):
         if got != want:
             raise AssertionError(f"query {q} after the refused refresh gave "
                                  f"{got}, expected {want}")
+
+
+def check_readers_create_nothing(binary, tmp):
+    missing = tmp / "typo_dir" / "sub"
+    for argv in (["info", "--cube", missing],
+                 ["query", "--cube", missing, "--group-by", "D0"],
+                 ["refresh", "--cube", missing, "--delta", tmp / "delta.csv"],
+                 ["serve", "--cube", missing, "--bench", "--workers", "1",
+                  "--clients", "1", "--queries", "1"]):
+        out = run(binary, *argv)
+        if out.returncode != 1 or "missing manifest" not in out.stderr or \
+                (tmp / "typo_dir").exists():
+            raise AssertionError(f"{argv[0]} on a missing directory: exit "
+                                 f"{out.returncode}, stderr {out.stderr!r}, "
+                                 f"left a path: {(tmp / 'typo_dir').exists()}")
+
+
+def check_scratch_removed(binary, tmp, cube):
+    scratch = tmp / "tmpdir"
+    scratch.mkdir()
+    env = dict(os.environ, TMPDIR=str(scratch))
+    tiny = ["--plans", "1", "--rows", "100"]
+    for argv in (["serve", "--cube", cube, "--bench", "--workers", "1",
+                  "--clients", "1", "--queries", "200", "--shards", "2",
+                  "--refresh-every", "20", "--refresh-rows", "20"],
+                 ["chaos", *tiny, "--procs", "2"],
+                 ["chaos", "--serve", *tiny, "--shards", "2"],
+                 ["chaos", "--refresh", *tiny, "--shards", "2"]):
+        out = subprocess.run([binary, *map(str, argv)], capture_output=True,
+                             text=True, env=env)
+        left = sorted(f.name for f in scratch.iterdir())
+        if out.returncode != 0 or left:
+            raise AssertionError(f"{' '.join(argv[:2])}: exit "
+                                 f"{out.returncode}, stderr "
+                                 f"{out.stderr[-200:]!r}, left {left} in "
+                                 f"TMPDIR")
 
 
 def main():
@@ -380,12 +461,14 @@ def main():
                            "x,y,measure\n1,4294967295,3\n", "4294967295")
 
         check_parallel_builds_identical(binary, tmp)
-        check_refresh_snapshots(binary, tmp)
+        check_two_refreshes(binary, tmp)
         check_query_flags(binary, tmp / "cube_crlf")
         check_usage_errors(binary, tmp, tmp / "cube_crlf")
         check_flipped_byte_refused(binary, tmp)
         check_damaged_view_keeps_the_directory(binary, tmp)
-        check_old_formats_refused(binary, tmp / "cube_crlf")
+        check_old_formats_refused(binary, tmp)
+        check_readers_create_nothing(binary, tmp)
+        check_scratch_removed(binary, tmp, tmp / "cube_crlf")
     print("cli_csv_test: ok")
     return 0
 

@@ -53,16 +53,19 @@ Enforces invariants no off-the-shelf checker knows about, as compile-time
                    races. The production clock implementation
                    (serve/retry_policy.cc) is the one sanctioned sleep site.
 
-  raw-file-write   src/core, src/io, src/net, src/refresh, src/seqcube must
-                   not open files for writing directly (std::ofstream /
-                   fopen).
+  raw-file-write   src/core, src/io, src/net, src/refresh, src/seqcube and
+                   the command-line sources directly in tools/ (tools/*.cc,
+                   not the lint fixtures below it) must not open files for
+                   writing directly (std::ofstream / fopen).
                    Durable bytes in those layers go through the checksummed
                    io layer
                    (io/checked_file.h, io/run_store.h) so every artifact
                    carries a CRC32C seal and every write passes the
                    DiskModel's fault-injection sites; a raw write silently
                    bypasses both. Reads (std::ifstream) are fine — they
-                   can't create unsealed artifacts.
+                   can't create unsealed artifacts. A CLI file that is not
+                   a cube artifact (a CSV, a plan list) carries an allow
+                   saying so.
 
 Suppression: a finding may be allowed with an inline justification on the
 same line or the line above:
@@ -82,7 +85,9 @@ import sys
 
 # ---------------------------------------------------------------------------
 # Rule table. `paths` are path-prefix filters relative to the repo root (POSIX
-# separators); `exempt` names exact relative paths the rule never applies to.
+# separators); `top_level` names directories whose files directly inside (not
+# in subdirectories) the rule covers too; `exempt` names exact relative paths
+# the rule never applies to.
 # `pattern` is matched against comment- and string-stripped code lines.
 
 RULES = [
@@ -167,6 +172,7 @@ RULES = [
         "id": "raw-file-write",
         "paths": ("src/core/", "src/io/", "src/net/", "src/refresh/",
                   "src/seqcube/"),
+        "top_level": ("tools/",),
         # The checksummed io layer is where the raw writes are supposed to
         # live — everything else goes through it.
         "exempt": ("src/io/checked_file.cc",),
@@ -280,10 +286,12 @@ def parse_suppressions(raw_lines):
 
 
 def applicable_rules(rel_path):
+    parent = rel_path.rsplit("/", 1)[0] + "/"
     for rule in RULES:
         if rel_path in rule["exempt"]:
             continue
-        if any(rel_path.startswith(p) for p in rule["paths"]):
+        if any(rel_path.startswith(p) for p in rule["paths"]) or \
+                parent in rule.get("top_level", ()):
             yield rule
 
 
@@ -307,24 +315,31 @@ def check_file(root, rel_path):
 
 
 def iter_source_files(root):
+    """Every source under src/, then those directly in tools/."""
     src = os.path.join(root, "src")
     for dirpath, _dirnames, filenames in os.walk(src):
         for name in sorted(filenames):
             if name.endswith(SOURCE_EXTS):
                 full = os.path.join(dirpath, name)
                 yield os.path.relpath(full, root).replace(os.sep, "/")
+    tools = os.path.join(root, "tools")
+    if os.path.isdir(tools):
+        for name in sorted(os.listdir(tools)):
+            if name.endswith(SOURCE_EXTS) and \
+                    os.path.isfile(os.path.join(tools, name)):
+                yield "tools/" + name
 
 
 def main(argv):
     parser = argparse.ArgumentParser(
         prog="sncheck", description="sncube project-invariant linter")
     parser.add_argument("--root", default=".",
-                        help="repo root (scans <root>/src)")
+                        help="repo root (scans <root>/src and <root>/tools/*)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print rule ids and exit")
     parser.add_argument("files", nargs="*",
                         help="restrict to these root-relative files "
-                             "(default: all of src/)")
+                             "(default: all of src/ and tools/*)")
     args = parser.parse_args(argv)
 
     if args.list_rules:

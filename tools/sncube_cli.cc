@@ -29,7 +29,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <initializer_list>
 #include <limits>
 #include <map>
@@ -56,7 +55,6 @@
 #include "query/greedy_select.h"
 #include "refresh/delta.h"
 #include "refresh/refresh.h"
-#include "refresh/snapshot.h"
 #include "relation/csv.h"
 #include "relation/schema.h"
 #include "relation/sort.h"
@@ -136,13 +134,12 @@ constexpr const char* kHelpText =
     "\n"
     "sncube refresh --cube cubedir --delta delta.csv\n"
     "  ingests an insert-only delta: cubes the delta over the affected views\n"
-    "  (Section 3 partial schedule), then merges it into the stored cube and\n"
-    "  rewrites the cube directory one view at a time (DESIGN.md §14).\n"
-    "  --cube DIR         cube directory to refresh in place\n"
+    "  (Section 3 partial schedule), merges it into the stored cube one view\n"
+    "  at a time and commits the result as the directory's next epoch; the\n"
+    "  directory answers as before until the commit, as after once it lands\n"
+    "  (DESIGN.md §3, §14).\n"
+    "  --cube DIR         cube directory to refresh\n"
     "  --delta FILE       delta fact rows (CSV with the cube's columns)\n"
-    "  --snapshot-dir DIR also commit the refreshed cube into a crash-safe\n"
-    "                     snapshot store as the next epoch (sealed manifest;\n"
-    "                     a crash leaves the previous epoch committed)\n"
     "\n"
     "sncube serve --cube cubedir --bench\n"
     "  --cube DIR         cube directory to serve\n"
@@ -177,7 +174,9 @@ constexpr const char* kHelpText =
     "                     queries (default 0 = no refreshes)\n"
     "  --refresh-rows R   synthetic delta rows per refresh (default 1000;\n"
     "                     needs --refresh-every)\n"
-    "  --snapshot-dir DIR refresh snapshot store (default: temp directory;\n"
+    "  --snapshot-dir DIR cube directory the refreshes commit their epochs to,\n"
+    "                     started empty, so not the --cube directory\n"
+    "                     (default: a temp directory, removed on exit;\n"
     "                     needs --refresh-every)\n"
     "\n"
     "sncube chaos --plans N --seed S\n"
@@ -203,7 +202,7 @@ constexpr const char* kHelpText =
     "  --requests N       router requests per trial (default 200)\n"
     "  --refresh          search the ONLINE REFRESH path instead: plans mix\n"
     "                     coordinator kills at two-phase-swap phases\n"
-    "                     (refreshkill:K), snapshot disk corruption, and\n"
+    "                     (refreshkill:K), store disk corruption, and\n"
     "                     shard churn while the query stream interleaves\n"
     "                     with every swap step. Invariant: old or new, never\n"
     "                     a blend — every response matches the pre- or\n"
@@ -375,6 +374,7 @@ int CmdGenerate(const Args& args) {
   for (int i = 0; i < schema.dims(); ++i) names.push_back(schema.name(i));
 
   const std::string out = args.Require("out");
+  // sncheck:allow(raw-file-write): a CSV for users and tools, read back by ReadCsv
   std::ofstream os(out);
   if (!os.good()) Usage(("cannot write " + out).c_str());
   WriteCsv(os, rel, names);
@@ -495,7 +495,8 @@ int CmdBuild(const Args& args) {
     ViewStore::Writer writer(ViewStore(out), schema);
     SequentialCube(raw, schema, selected, AggFn::kSum, nullptr, nullptr,
                    PartialStrategy::kPrunedPipesort, [&](ViewResult view) {
-                     if (view.selected) rows_total += view.rel.size();
+                     if (!view.selected) return;  // auxiliary: not stored
+                     rows_total += view.rel.size();
                      writer.Write(view);
                    });
     writer.Commit();
@@ -688,8 +689,9 @@ int CmdQuery(const Args& args) {
 }
 
 // refresh: one offline delta-ingestion pass over a cube directory — cube
-// the delta over the affected views, merge, rewrite the store. The online
-// counterpart (epoch swap under live traffic) is serve --refresh-every.
+// the delta over the affected views, merge, commit the next epoch. The
+// online counterpart (epoch swap under live traffic) is serve
+// --refresh-every.
 int CmdRefresh(const Args& args) {
   const ViewStore store(args.Require("cube"));
   const CubeManifest manifest = store.LoadManifest();
@@ -709,34 +711,12 @@ int CmdRefresh(const Args& args) {
   }
 
   WallTimer timer;
-  // Optionally commit the refreshed cube into a crash-safe snapshot store
-  // as the epoch after the newest committed one (1 for a fresh store),
-  // handing it each merged view as the rewrite produces it.
-  DiskModel disk;
-  std::optional<SnapshotStore> snap;
-  std::uint64_t epoch = 0;
-  std::vector<std::uint32_t> masks;
-  std::function<void(const ViewResult&)> on_view;
-  if (const auto snap_dir = args.Get("snapshot-dir")) {
-    snap.emplace(*snap_dir, disk);
-    epoch = snap->Recover().epoch + 1;
-    on_view = [&](const ViewResult& vr) {
-      snap->WriteEpochView(epoch, vr);
-      masks.push_back(vr.id.mask());
-    };
-  }
-  const StoreRefreshResult result =
-      RefreshViewStore(store, manifest, delta, on_view);
-  if (snap) {
-    snap->AppendPrepare(epoch, std::move(masks));
-    snap->AppendCommit(epoch);
-  }
+  const StoreRefreshResult result = RefreshViewStore(store, manifest, delta);
   std::printf("{\"delta_rows\":%zu,\"views_refreshed\":%zu,"
-              "\"merged_rows\":%llu,\"snapshot_epoch\":%llu,"
-              "\"wall_s\":%.4f}\n",
+              "\"merged_rows\":%llu,\"epoch\":%llu,\"wall_s\":%.4f}\n",
               delta.size(), result.views_refreshed,
               static_cast<unsigned long long>(result.merged_rows),
-              static_cast<unsigned long long>(epoch), timer.Seconds());
+              static_cast<unsigned long long>(result.epoch), timer.Seconds());
   return 0;
 }
 
@@ -777,11 +757,14 @@ int CmdServeSharded(const Args& args, const CubeResult& cube,
   std::atomic<bool> serve_done{false};
   std::unique_ptr<RefreshCoordinator> refresher;
   std::thread refresh_thread;
+  // A store at the default path is this process's scratch, removed once
+  // serving ends; a --snapshot-dir store is the user's and stays.
+  const auto snapshot_dir = args.Get("snapshot-dir");
+  RefreshOptions refresh_opts;
+  refresh_opts.dir = snapshot_dir.value_or(
+      (std::filesystem::temp_directory_path() /
+       ("sncube_serve_refresh_" + std::to_string(::getpid()))).string());
   if (refresh_every > 0) {
-    RefreshOptions refresh_opts;
-    refresh_opts.dir = args.Get("snapshot-dir").value_or(
-        (std::filesystem::temp_directory_path() /
-         ("sncube_serve_refresh_" + std::to_string(::getpid()))).string());
     refresher = std::make_unique<RefreshCoordinator>(
         shard_set,
         std::shared_ptr<const CubeResult>(&cube, [](const CubeResult*) {}),
@@ -828,6 +811,9 @@ int CmdServeSharded(const Args& args, const CubeResult& cube,
   serve_done.store(true, std::memory_order_release);
   if (refresh_thread.joinable()) refresh_thread.join();
   const double wall_s = timer.Seconds();
+  if (refresher && !snapshot_dir) {
+    std::filesystem::remove_all(refresh_opts.dir);
+  }
 
   if (const auto summary_out = args.Get("summary-out")) {
     obs::MetricsRegistry registry;
@@ -909,6 +895,12 @@ int CmdServe(const Args& args) {
                   "requires --refresh-every >= 1");
     }
     sharded.refresh_rows = FlagOr<std::int64_t>(args, "refresh-rows", 1000, 1);
+    // The refreshes start their store empty: it must not be the served cube.
+    std::error_code ec;
+    if (const auto dir = args.Get("snapshot-dir");
+        dir && std::filesystem::equivalent(*dir, args.Require("cube"), ec)) {
+      Usage("--snapshot-dir must not be the --cube directory");
+    }
   }
 
   const ViewStore store(args.Require("cube"));
@@ -988,50 +980,29 @@ void ParseServingChaosFlags(const Args& args, Options& opts) {
   }
 }
 
-// chaos --serve: the serving-tier search. Shares --plans/--seed/--rows/
-// --fail-out/--verbose with the build search; fail-out lines are
-// "<shards> <spec>" (ChaosFailure::procs carries the shard count), so the
-// nightly corpus handles both tiers uniformly.
-int CmdServeChaos(const Args& args) {
-  chaos::ServeChaosOptions opts;
-  ParseServingChaosFlags(args, opts);
-
-  const chaos::ChaosReport report = chaos::RunServeChaosSearch(opts);
+// Prints a chaos search's report and appends each minimal failing plan to
+// --fail-out as "<procs> <spec>" (ChaosFailure::procs carries the shard
+// count in the serve and refresh searches), so the nightly corpus handles
+// every tier uniformly. Exit 0 when every trial upheld its invariant, 4
+// otherwise.
+int ReportChaos(const Args& args, const chaos::ChaosReport& report) {
   std::printf("%s\n", report.ToJson().c_str());
-  if (const auto fail_out = args.Get("fail-out")) {
-    if (!report.ok()) {
-      std::ofstream os(*fail_out, std::ios::app);
-      if (!os.good()) Usage(("cannot write " + *fail_out).c_str());
-      for (const auto& f : report.failures) {
-        os << f.procs << ' ' << f.plan.ToSpec() << '\n';
-      }
-      std::fprintf(stderr, "minimal failing plans: %s\n", fail_out->c_str());
+  const auto fail_out = args.Get("fail-out");
+  if (fail_out && !report.ok()) {
+    // sncheck:allow(raw-file-write): a plain-text plan list for reruns, not a cube artifact
+    std::ofstream os(*fail_out, std::ios::app);
+    if (!os.good()) Usage(("cannot write " + *fail_out).c_str());
+    for (const auto& f : report.failures) {
+      os << f.procs << ' ' << f.plan.ToSpec() << '\n';
     }
+    std::fprintf(stderr, "minimal failing plans: %s\n", fail_out->c_str());
   }
   return report.ok() ? 0 : 4;
 }
 
-// chaos --refresh: the online-refresh search (old-or-new, never a blend).
-// Same flag surface as --serve; fail-out lines are "<shards> <spec>".
-int CmdRefreshChaos(const Args& args) {
-  chaos::RefreshChaosOptions opts;
-  ParseServingChaosFlags(args, opts);
-
-  const chaos::ChaosReport report = chaos::RunRefreshChaosSearch(opts);
-  std::printf("%s\n", report.ToJson().c_str());
-  if (const auto fail_out = args.Get("fail-out")) {
-    if (!report.ok()) {
-      std::ofstream os(*fail_out, std::ios::app);
-      if (!os.good()) Usage(("cannot write " + *fail_out).c_str());
-      for (const auto& f : report.failures) {
-        os << f.procs << ' ' << f.plan.ToSpec() << '\n';
-      }
-      std::fprintf(stderr, "minimal failing plans: %s\n", fail_out->c_str());
-    }
-  }
-  return report.ok() ? 0 : 4;
-}
-
+// chaos: the build search; --serve, the serving-tier search; --refresh,
+// the online-refresh search (old or new, never a blend). All three share
+// --plans/--seed/--rows/--fail-out/--verbose.
 int CmdChaos(const Args& args) {
   const bool serve = args.Has("serve");
   const bool refresh = args.Has("refresh");
@@ -1039,28 +1010,25 @@ int CmdChaos(const Args& args) {
   if (serve || refresh) {
     RefuseFlags(args, {"procs"}, "belongs to the build search (no --serve or "
                                  "--refresh)");
-    return refresh ? CmdRefreshChaos(args) : CmdServeChaos(args);
+  } else {
+    RefuseFlags(args, {"shards", "requests"}, "requires --serve or --refresh");
   }
-  RefuseFlags(args, {"shards", "requests"}, "requires --serve or --refresh");
+  if (refresh) {
+    chaos::RefreshChaosOptions opts;
+    ParseServingChaosFlags(args, opts);
+    return ReportChaos(args, chaos::RunRefreshChaosSearch(opts));
+  }
+  if (serve) {
+    chaos::ServeChaosOptions opts;
+    ParseServingChaosFlags(args, opts);
+    return ReportChaos(args, chaos::RunServeChaosSearch(opts));
+  }
   chaos::ChaosOptions opts;
   ParseChaosFlags(args, opts);
   if (const auto procs = args.Get("procs")) {
     opts.procs = ParseFlagList<int>("--procs", *procs, 2);
   }
-
-  const chaos::ChaosReport report = chaos::RunChaosSearch(opts);
-  std::printf("%s\n", report.ToJson().c_str());
-  if (const auto fail_out = args.Get("fail-out")) {
-    if (!report.ok()) {
-      std::ofstream os(*fail_out, std::ios::app);
-      if (!os.good()) Usage(("cannot write " + *fail_out).c_str());
-      for (const auto& f : report.failures) {
-        os << f.procs << ' ' << f.plan.ToSpec() << '\n';
-      }
-      std::fprintf(stderr, "minimal failing plans: %s\n", fail_out->c_str());
-    }
-  }
-  return report.ok() ? 0 : 4;
+  return ReportChaos(args, chaos::RunChaosSearch(opts));
 }
 
 }  // namespace
@@ -1090,7 +1058,7 @@ int main(int argc, char** argv) {
        CmdQuery,
        {{"cube", "group-by", "where", "top", "trace-out"},
         {"min", "max", "json"}}},
-      {"refresh", CmdRefresh, {{"cube", "delta", "snapshot-dir"}, {}}},
+      {"refresh", CmdRefresh, {{"cube", "delta"}, {}}},
       {"serve",
        CmdServe,
        {{"cube", "workers", "clients", "queries", "queue-depth", "cache-mb",
