@@ -1,11 +1,7 @@
 #include "chaos/explorer.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <mutex>
-#include <sstream>
-#include <utility>
 
 #include "common/status.h"
 #include "core/parallel_cube.h"
@@ -14,13 +10,13 @@
 #include "net/cluster.h"
 #include "relation/serialize.h"
 
-#ifndef _WIN32
-#include <unistd.h>
-#endif
-
 namespace sncube {
 namespace chaos {
 namespace {
+
+// Build attempts per trial: the first under the full plan, then one per
+// StripForAttempt step.
+constexpr int kMaxAttempts = 4;
 
 // Restart policy: each retry strips the next fault family from the plan —
 // kills first, then transient disk errors, then silent corruption — the way
@@ -37,28 +33,6 @@ FaultPlan StripForAttempt(const FaultPlan& plan, int attempt) {
     p.torn_writes.clear();
   }
   return p;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -90,31 +64,16 @@ FaultPlan RandomPlan(Rng& rng, int procs) {
 }
 
 ChaosTrial::ChaosTrial(const ChaosOptions& opts, int procs)
-    : opts_(opts), procs_(procs), owns_scratch_(opts_.scratch_dir.empty()) {
-  if (owns_scratch_) {
-    opts_.scratch_dir =
-        (std::filesystem::temp_directory_path() /
-         ("sncube_chaos_" + std::to_string(::getpid())))
-            .string();
-  }
+    : opts_(opts), procs_(procs), scratch_(opts.scratch_dir) {
   // Fault-free golden build, no checkpointing: the byte-level ground truth
   // every trial's completed cube is compared against.
-  const auto abort_reason = BuildOnce(FaultPlan{}, "", &golden_);
+  const Verdict abort_reason = BuildOnce(FaultPlan{}, "", &golden_);
   SNCUBE_CHECK(!abort_reason.has_value());
 }
 
-ChaosTrial::~ChaosTrial() {
-  std::error_code ec;
-  if (owns_scratch_) std::filesystem::remove_all(opts_.scratch_dir, ec);
-}
-
-std::optional<std::string> ChaosTrial::BuildOnce(const FaultPlan& plan,
-                                                const std::string& ckpt_dir,
-                                                ShardBytes* out) {
-  DatasetSpec spec;
-  spec.rows = opts_.rows;
-  spec.cardinalities = opts_.cards;
-  spec.seed = opts_.data_seed;
+Verdict ChaosTrial::BuildOnce(const FaultPlan& plan,
+                              const std::string& ckpt_dir, ShardBytes* out) {
+  const DatasetSpec spec = TrialDataset(opts_);
   const Schema schema = spec.MakeSchema();
   const int d = schema.dims();
 
@@ -150,19 +109,15 @@ std::optional<std::string> ChaosTrial::BuildOnce(const FaultPlan& plan,
   return std::nullopt;
 }
 
-std::optional<std::string> ChaosTrial::Check(const FaultPlan& plan) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::path(opts_.scratch_dir) /
-                       ("trial_" + std::to_string(trial_counter_++));
-  fs::remove_all(dir);
+Verdict ChaosTrial::Check(const FaultPlan& plan) {
+  const std::string dir = scratch_.NextDir();
   std::string last_abort;
-  std::optional<std::string> verdict =
-      "did not complete within " + std::to_string(opts_.max_attempts) +
-      " attempts";
-  for (int attempt = 0; attempt < opts_.max_attempts; ++attempt) {
+  Verdict verdict = "did not complete within " +
+                    std::to_string(kMaxAttempts) + " attempts";
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     ShardBytes got;
-    const auto abort_reason =
-        BuildOnce(StripForAttempt(plan, attempt), dir.string(), &got);
+    const Verdict abort_reason =
+        BuildOnce(StripForAttempt(plan, attempt), dir, &got);
     if (abort_reason.has_value()) {
       last_abort = *abort_reason;
       continue;
@@ -193,120 +148,15 @@ std::optional<std::string> ChaosTrial::Check(const FaultPlan& plan) {
       verdict->rfind("did not complete", 0) == 0) {
     *verdict += "; last abort: " + last_abort;
   }
-  std::filesystem::remove_all(dir);
+  ScratchRoot::Remove(dir);
   return verdict;
 }
 
-FaultPlan ChaosTrial::Shrink(const FaultPlan& plan) {
-  FaultPlan cur = plan;
-  const auto fails = [&](const FaultPlan& p) { return Check(p).has_value(); };
-
-  // Phase 1, ddmin-style greedy clause removal to a fixpoint: a clause that
-  // can be dropped with the failure persisting is irrelevant to the bug.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    const auto try_drop = [&](auto member) {
-      auto& vec = cur.*member;
-      for (std::size_t i = 0; i < vec.size(); ++i) {
-        FaultPlan cand = cur;
-        auto& cand_vec = cand.*member;
-        cand_vec.erase(cand_vec.begin() + static_cast<std::ptrdiff_t>(i));
-        if (fails(cand)) {
-          cur = std::move(cand);
-          changed = true;
-          return;
-        }
-      }
-    };
-    try_drop(&FaultPlan::kills);
-    if (!changed) try_drop(&FaultPlan::stragglers);
-    if (!changed) try_drop(&FaultPlan::disk_errors);
-    if (!changed) try_drop(&FaultPlan::bit_flips);
-    if (!changed) try_drop(&FaultPlan::torn_writes);
-  }
-
-  // Phase 2: halve the surviving numeric parameters while the failure
-  // persists, pushing each toward its smallest reproducing value.
-  for (std::size_t i = 0; i < cur.kills.size(); ++i) {
-    while (cur.kills[i].at_superstep > 0) {
-      FaultPlan cand = cur;
-      cand.kills[i].at_superstep /= 2;
-      if (!fails(cand)) break;
-      cur = std::move(cand);
-    }
-  }
-  for (std::size_t i = 0; i < cur.stragglers.size(); ++i) {
-    while (cur.stragglers[i].factor > 1.05) {
-      FaultPlan cand = cur;
-      cand.stragglers[i].factor = 1.0 + (cand.stragglers[i].factor - 1.0) / 2;
-      if (!fails(cand)) break;
-      cur = std::move(cand);
-    }
-  }
-  const auto halve_rates = [&](auto member) {
-    auto& vec = cur.*member;
-    for (std::size_t i = 0; i < vec.size(); ++i) {
-      while ((cur.*member)[i].rate > 1e-4) {
-        FaultPlan cand = cur;
-        (cand.*member)[i].rate /= 2;
-        if (!fails(cand)) break;
-        cur = std::move(cand);
-      }
-    }
-  };
-  halve_rates(&FaultPlan::disk_errors);
-  halve_rates(&FaultPlan::bit_flips);
-  halve_rates(&FaultPlan::torn_writes);
-  return cur;
-}
-
-std::string ChaosReport::ToJson() const {
-  std::ostringstream os;
-  os << "{\"trials\":" << trials << ",\"failures\":[";
-  for (std::size_t i = 0; i < failures.size(); ++i) {
-    const ChaosFailure& f = failures[i];
-    os << (i ? "," : "") << "{\"procs\":" << f.procs << ",\"spec\":\""
-       << JsonEscape(f.plan.ToSpec()) << "\",\"original\":\""
-       << JsonEscape(f.original.ToSpec()) << "\",\"reason\":\""
-       << JsonEscape(f.reason) << "\"}";
-  }
-  os << "]}";
-  return os.str();
-}
-
-ChaosReport RunChaosSearch(const ChaosOptions& opts) {
-  ChaosReport report;
-  for (const int p : opts.procs) {
-    ChaosTrial trial(opts, p);
-    // Per-procs stream, so adding a cluster size never reshuffles the plans
-    // another size already explored.
-    Rng rng(opts.seed * 0x9E3779B97F4A7C15ULL +
-            static_cast<std::uint64_t>(p));
-    for (int i = 0; i < opts.plans; ++i) {
-      const FaultPlan plan = RandomPlan(rng, p);
-      ++report.trials;
-      const auto reason = trial.Check(plan);
-      if (opts.verbose) {
-        std::fprintf(stderr, "chaos p=%d plan %d/%d [%s]: %s\n", p, i + 1,
-                     opts.plans, plan.ToSpec().c_str(),
-                     reason ? reason->c_str() : "ok");
-      }
-      if (reason.has_value()) {
-        ChaosFailure failure;
-        failure.procs = p;
-        failure.original = plan;
-        failure.reason = *reason;
-        failure.plan = trial.Shrink(plan);
-        if (opts.verbose) {
-          std::fprintf(stderr, "chaos p=%d plan %d shrunk to [%s]\n", p,
-                       i + 1, failure.plan.ToSpec().c_str());
-        }
-        report.failures.push_back(std::move(failure));
-      }
-    }
-  }
-  return report;
+ChaosReport RunBuildChaosSearch(const ChaosOptions& opts) {
+  // Build plans have no windows, so the shrinker needs no horizon.
+  return RunChaosSearch<ChaosTrial>(
+      opts, opts.procs,
+      {.label = "chaos p", .salt = 0, .horizon = 0, .draw = RandomPlan});
 }
 
 }  // namespace chaos

@@ -1,28 +1,30 @@
 #include "chaos/refresh_chaos.h"
 
-#include <unistd.h>
-
-#include <chrono>
-#include <cstdio>
-#include <filesystem>
+#include <memory>
 #include <sstream>
 #include <utility>
 
 #include "common/status.h"
-#include "data/generator.h"
 #include "io/disk.h"
 #include "lattice/lattice.h"
 #include "refresh/delta.h"
 #include "refresh/refresh.h"
 #include "seqcube/seq_cube.h"
 #include "seqcube/view_store.h"
-#include "serve/retry_policy.h"
-#include "serve/router.h"
-#include "serve/shard_set.h"
 
 namespace sncube {
 namespace chaos {
 namespace {
+
+// The insert-only delta the refresh ingests: same schema, a disjoint seed
+// stream, so the post-refresh cube differs from the base on most views.
+constexpr std::int64_t kDeltaRows = 200;
+constexpr std::uint64_t kDeltaSeed = 61;
+// How a trial consumes its request stream: this many requests ahead of the
+// refresh, a burst at entry to each swap phase, and the remainder after
+// the refresh completes or after crash recovery.
+constexpr std::size_t kRequestsBefore = 24;
+constexpr std::size_t kRequestsPerPhase = 6;
 
 // Byte-identity over full cubes: same views, same orders, same selected
 // flags, same rows. "" on match, else the first divergence.
@@ -98,56 +100,26 @@ FaultPlan RandomRefreshPlan(Rng& rng, int shards, std::uint64_t requests) {
 
 RefreshChaosTrial::RefreshChaosTrial(const RefreshChaosOptions& opts,
                                      int shards)
-    : opts_(opts), shards_(shards) {
-  DatasetSpec spec;
-  spec.rows = static_cast<std::int64_t>(opts_.rows);
-  spec.cardinalities = opts_.cards;
-  spec.seed = opts_.data_seed;
+    : opts_(opts), shards_(shards), scratch_(opts.scratch_dir) {
+  const DatasetSpec spec = TrialDataset(opts_);
   schema_ = spec.MakeSchema();
   pre_cube_ =
       SequentialCube(GenerateSlice(spec, 1, 0), schema_, AllViews(schema_.dims()));
 
-  // The delta: same schema, disjoint seed stream. The post-refresh golden
-  // cube is the fault-free refresh pipeline itself — what any crash-free
-  // run must install bit-for-bit.
+  // The post-refresh golden cube is the fault-free refresh pipeline itself
+  // — what any crash-free run must install bit-for-bit.
   DatasetSpec dspec = spec;
-  dspec.rows = static_cast<std::int64_t>(opts_.delta_rows);
-  dspec.seed = opts_.delta_seed;
+  dspec.rows = kDeltaRows;
+  dspec.seed = kDeltaSeed;
   delta_ = GenerateSlice(dspec, 1, 0);
   post_cube_ = MergeDeltaCube(
       pre_cube_,
       ComputeDeltaCube(delta_, schema_, AffectedViews(pre_cube_, delta_)));
 
-  // Fixed stream with BOTH golden answers per request: shrink replays the
-  // same traffic, only the faults change.
-  WorkloadSpec wl = opts_.workload;
-  wl.seed = opts_.seed * 0x9E3779B97F4A7C15ULL + 23;
-  const QueryMix mix(pre_cube_, schema_, wl);
-  CubeQueryEngine pre_engine(pre_cube_);
-  CubeQueryEngine post_engine(post_cube_);
-  Rng draw(wl.seed + 1);
-  requests_.reserve(static_cast<std::size_t>(opts_.requests));
-  golden_pre_.reserve(static_cast<std::size_t>(opts_.requests));
-  golden_post_.reserve(static_cast<std::size_t>(opts_.requests));
-  for (int i = 0; i < opts_.requests; ++i) {
-    const Query q = mix.Sample(draw);
-    requests_.push_back(q);
-    golden_pre_.push_back(pre_engine.Execute(q).rel);
-    golden_post_.push_back(post_engine.Execute(q).rel);
-  }
-
-  owns_root_ = opts_.snapshot_root.empty();
-  root_ = owns_root_
-              ? (std::filesystem::temp_directory_path() /
-                 ("sncube_refresh_chaos_" + std::to_string(::getpid())))
-                    .string()
-              : opts_.snapshot_root;
-  std::filesystem::create_directories(root_);
-}
-
-RefreshChaosTrial::~RefreshChaosTrial() {
-  std::error_code ec;
-  if (owns_root_) std::filesystem::remove_all(root_, ec);
+  // BOTH golden answers per request of the fixed stream.
+  requests_ = SampleRequests(pre_cube_, schema_, opts_, 23);
+  golden_pre_ = GoldenAnswers(pre_cube_, requests_);
+  golden_post_ = GoldenAnswers(post_cube_, requests_);
 }
 
 std::string RefreshChaosTrial::MatchesEitherGolden(
@@ -159,41 +131,24 @@ std::string RefreshChaosTrial::MatchesEitherGolden(
   return "vs pre: " + vs_pre + "; vs post: " + vs_post;
 }
 
-std::optional<std::string> RefreshChaosTrial::Check(const FaultPlan& plan) {
-  const std::string dir =
-      root_ + "/chk" + std::to_string(shards_) + "_" +
-      std::to_string(next_check_id_++);
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-
-  std::optional<std::string> violation;
+Verdict RefreshChaosTrial::Check(const FaultPlan& plan) {
+  const std::string dir = scratch_.NextDir();
+  Verdict violation;
   std::size_t cursor = 0;
+  const RouterOptions ropts = TrialRouterOptions();
+  const auto shard_set_options = [&](ManualServeClock& clock) {
+    ShardSetOptions sopts = TrialShardSetOptions(shards_, clock);
+    sopts.pin_epoch = opts_.pin_epoch;
+    return sopts;
+  };
 
-  RouterOptions ropts;
-  ropts.per_try_us = 1000;
-  ropts.hedge_delay_us = 400;
-  ropts.max_tries = 3;
-  ropts.backoff.base_us = 500;
-  ropts.backoff.cap_us = 4000;
-  ropts.breaker.failure_threshold = 4;
-  ropts.breaker.window_us = 100000;
-  ropts.breaker.cooldown_us = 2000;
-  ropts.probe_every = 16;
-
-  ShardSetOptions sopts;
-  sopts.shards = shards_;
-  sopts.server.workers = 2;
-  // Off for determinism: virtual time only advances through the clock we
-  // drive (cf. serve_chaos.cc).
-  sopts.server.deadline = std::chrono::microseconds(0);
-  sopts.pin_epoch = opts_.pin_epoch;
-
-  // Drains `count` requests from the stream through `router`, holding every
-  // OK answer to old-or-new. Typed failures are allowed — refresh churn may
-  // retire a pinned epoch (kEpochGone → unavailable) but never corrupt.
-  const auto drive = [&](Router& router, ManualServeClock& clock, int count,
-                         const std::string& where) {
-    for (int i = 0; i < count; ++i) {
+  // Drains up to `count` requests from the stream through `router`, holding
+  // every OK answer to old-or-new. Typed failures are allowed — refresh
+  // churn may retire a pinned epoch (kEpochGone → unavailable) but never
+  // corrupt.
+  const auto drive = [&](Router& router, ManualServeClock& clock,
+                         std::size_t count, const std::string& where) {
+    for (std::size_t i = 0; i < count; ++i) {
       if (violation.has_value() || cursor >= requests_.size()) return;
       clock.Advance(200);
       const std::size_t qi = cursor++;
@@ -221,17 +176,17 @@ std::optional<std::string> RefreshChaosTrial::Check(const FaultPlan& plan) {
   bool crashed = false;
   {
     ManualServeClock clock;
-    ShardSet shard_set(pre_cube_, sopts, plan);
+    ShardSet shard_set(pre_cube_, shard_set_options(clock), plan);
     Router router(shard_set, ropts);
 
-    drive(router, clock, opts_.requests_before, "pre-refresh");
+    drive(router, clock, kRequestsBefore, "pre-refresh");
 
     FaultInjector injector(plan, /*rank=*/0);
     RefreshOptions refresh_opts;
     refresh_opts.dir = dir;
     refresh_opts.injector = &injector;
     refresh_opts.on_phase = [&](int phase) {
-      drive(router, clock, opts_.requests_per_phase,
+      drive(router, clock, kRequestsPerPhase,
             "swap phase " + std::to_string(phase));
     };
     RefreshCoordinator coordinator(
@@ -257,8 +212,7 @@ std::optional<std::string> RefreshChaosTrial::Check(const FaultPlan& plan) {
         violation = "completed refresh installed a cube differing from the "
                     "post-refresh golden: " + diff;
       }
-      drive(router, clock,
-            static_cast<int>(requests_.size() - cursor), "post-refresh");
+      drive(router, clock, requests_.size(), "post-refresh");
     }
     shard_set.Shutdown();
   }
@@ -280,147 +234,27 @@ std::optional<std::string> RefreshChaosTrial::Check(const FaultPlan& plan) {
       // fresh, fault-free serving tier (the plan's windows died with the
       // crashed process).
       ManualServeClock clock;
-      ShardSet shard_set(served, sopts);
+      ShardSet shard_set(served, shard_set_options(clock));
       Router router(shard_set, ropts);
-      drive(router, clock, static_cast<int>(requests_.size() - cursor),
-            "post-recovery");
+      drive(router, clock, requests_.size(), "post-recovery");
       shard_set.Shutdown();
     }
   }
 
-  std::filesystem::remove_all(dir, ec);
+  ScratchRoot::Remove(dir);
   return violation;
 }
 
-FaultPlan RefreshChaosTrial::Shrink(const FaultPlan& plan) {
-  FaultPlan cur = plan;
-  const auto fails = [&](const FaultPlan& p) { return Check(p).has_value(); };
-
-  // Phase 1: ddmin-style greedy clause removal to a fixpoint, across every
-  // clause family a refresh plan can carry.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    const auto try_drop = [&](auto member) {
-      if (changed) return;
-      auto& vec = cur.*member;
-      for (std::size_t i = 0; i < vec.size(); ++i) {
-        FaultPlan cand = cur;
-        auto& cand_vec = cand.*member;
-        cand_vec.erase(cand_vec.begin() + static_cast<std::ptrdiff_t>(i));
-        if (fails(cand)) {
-          cur = std::move(cand);
-          changed = true;
-          return;
-        }
-      }
-    };
-    try_drop(&FaultPlan::refresh_kills);
-    try_drop(&FaultPlan::shard_kills);
-    try_drop(&FaultPlan::shard_slows);
-    try_drop(&FaultPlan::bit_flips);
-    try_drop(&FaultPlan::torn_writes);
-    try_drop(&FaultPlan::disk_errors);
-  }
-
-  // Phase 2: shrink surviving serve windows (shorter, earlier), slow
-  // factors, and disk-fault rates while the failure persists.
-  const auto shrink_window = [&](auto member, auto set_window) {
-    for (std::size_t i = 0; i < (cur.*member).size(); ++i) {
-      for (;;) {
-        FaultPlan cand = cur;
-        auto& c = (cand.*member)[i];
-        const std::uint64_t len =
-            (c.until == FaultPlan::kNoEnd)
-                ? static_cast<std::uint64_t>(opts_.requests) - c.from
-                : c.until - c.from;
-        if (len <= 1) break;
-        set_window(c, c.from, c.from + len / 2);
-        if (!fails(cand)) break;
-        cur = std::move(cand);
-      }
-      while ((cur.*member)[i].from > 0) {
-        FaultPlan cand = cur;
-        auto& c = (cand.*member)[i];
-        const std::uint64_t len =
-            (c.until == FaultPlan::kNoEnd) ? 0 : c.until - c.from;
-        const std::uint64_t from = c.from / 2;
-        set_window(c, from,
-                   c.until == FaultPlan::kNoEnd ? FaultPlan::kNoEnd
-                                                : from + len);
-        if (!fails(cand)) break;
-        cur = std::move(cand);
-      }
-    }
-  };
-  shrink_window(&FaultPlan::shard_kills,
-                [](FaultPlan::ShardKill& k, std::uint64_t f, std::uint64_t u) {
-                  k.from = f;
-                  k.until = u;
-                });
-  shrink_window(&FaultPlan::shard_slows,
-                [](FaultPlan::ShardSlow& s, std::uint64_t f, std::uint64_t u) {
-                  s.from = f;
-                  s.until = u;
-                });
-  for (std::size_t i = 0; i < cur.shard_slows.size(); ++i) {
-    while (cur.shard_slows[i].factor > 1.05) {
-      FaultPlan cand = cur;
-      cand.shard_slows[i].factor = 1.0 + (cand.shard_slows[i].factor - 1.0) / 2;
-      if (!fails(cand)) break;
-      cur = std::move(cand);
-    }
-  }
-  const auto shrink_rate = [&](auto member) {
-    for (std::size_t i = 0; i < (cur.*member).size(); ++i) {
-      while ((cur.*member)[i].rate > 0.02) {
-        FaultPlan cand = cur;
-        (cand.*member)[i].rate /= 2;
-        if (!fails(cand)) break;
-        cur = std::move(cand);
-      }
-    }
-  };
-  shrink_rate(&FaultPlan::bit_flips);
-  shrink_rate(&FaultPlan::torn_writes);
-  shrink_rate(&FaultPlan::disk_errors);
-  return cur;
-}
-
 ChaosReport RunRefreshChaosSearch(const RefreshChaosOptions& opts) {
-  ChaosReport report;
-  for (const int shards : opts.shard_counts) {
-    RefreshChaosTrial trial(opts, shards);
-    // Per-shard-count stream (cf. serve_chaos.cc): adding a size never
-    // reshuffles the plans another size already explored.
-    Rng rng(opts.seed * 0x9E3779B97F4A7C15ULL +
-            static_cast<std::uint64_t>(shards) + 0x5246);
-    for (int i = 0; i < opts.plans; ++i) {
-      const FaultPlan plan = RandomRefreshPlan(
-          rng, shards, static_cast<std::uint64_t>(opts.requests));
-      ++report.trials;
-      const auto reason = trial.Check(plan);
-      if (opts.verbose) {
-        std::fprintf(stderr, "refresh-chaos shards=%d plan %d/%d [%s]: %s\n",
-                     shards, i + 1, opts.plans, plan.ToSpec().c_str(),
-                     reason ? reason->c_str() : "ok");
-      }
-      if (reason.has_value()) {
-        ChaosFailure failure;
-        failure.procs = shards;
-        failure.original = plan;
-        failure.reason = *reason;
-        failure.plan = trial.Shrink(plan);
-        if (opts.verbose) {
-          std::fprintf(stderr,
-                       "refresh-chaos shards=%d plan %d shrunk to [%s]\n",
-                       shards, i + 1, failure.plan.ToSpec().c_str());
-        }
-        report.failures.push_back(std::move(failure));
-      }
-    }
-  }
-  return report;
+  const auto horizon = static_cast<std::uint64_t>(opts.requests);
+  return RunChaosSearch<RefreshChaosTrial>(
+      opts, opts.shard_counts,
+      {.label = "refresh-chaos shards",
+       .salt = 0x5246,
+       .horizon = horizon,
+       .draw = [horizon](Rng& rng, int shards) {
+         return RandomRefreshPlan(rng, shards, horizon);
+       }});
 }
 
 }  // namespace chaos

@@ -1,19 +1,59 @@
 #include "chaos/serve_chaos.h"
 
-#include <cstdio>
+#include <chrono>
 #include <sstream>
-#include <utility>
 
 #include "common/status.h"
-#include "data/generator.h"
 #include "lattice/lattice.h"
 #include "seqcube/seq_cube.h"
-#include "serve/retry_policy.h"
-#include "serve/router.h"
-#include "serve/shard_set.h"
 
 namespace sncube {
 namespace chaos {
+
+ShardSetOptions TrialShardSetOptions(int shards, ServeClock& clock) {
+  ShardSetOptions sopts;
+  sopts.shards = shards;
+  sopts.clock = &clock;
+  sopts.server.workers = 2;
+  sopts.server.deadline = std::chrono::microseconds(0);
+  return sopts;
+}
+
+RouterOptions TrialRouterOptions() {
+  RouterOptions ropts;
+  ropts.per_try_us = 1000;       // trips when slowdown > ~6x nominal
+  ropts.hedge_delay_us = 400;    // hedges on mildly slow tries
+  ropts.max_tries = 3;
+  ropts.backoff.base_us = 500;
+  ropts.backoff.cap_us = 4000;
+  ropts.breaker.failure_threshold = 4;
+  ropts.breaker.window_us = 100000;
+  ropts.breaker.cooldown_us = 2000;
+  ropts.probe_every = 16;
+  return ropts;
+}
+
+std::vector<Query> SampleRequests(const CubeResult& cube, const Schema& schema,
+                                  const ServingSearchOptions& opts,
+                                  std::uint64_t salt) {
+  WorkloadSpec wl = opts.workload;
+  wl.seed = opts.seed * 0x9E3779B97F4A7C15ULL + salt;
+  const QueryMix mix(cube, schema, wl);
+  Rng draw(wl.seed + 1);
+  std::vector<Query> requests;
+  requests.reserve(static_cast<std::size_t>(opts.requests));
+  for (int i = 0; i < opts.requests; ++i) requests.push_back(mix.Sample(draw));
+  return requests;
+}
+
+std::vector<Relation> GoldenAnswers(const CubeResult& cube,
+                                    const std::vector<Query>& requests) {
+  const CubeQueryEngine engine(cube);
+  std::vector<Relation> answers;
+  answers.reserve(requests.size());
+  for (const Query& q : requests) answers.push_back(engine.Execute(q).rel);
+  return answers;
+}
 
 FaultPlan RandomServePlan(Rng& rng, int shards, std::uint64_t requests) {
   SNCUBE_CHECK(shards >= 1 && requests >= 1);
@@ -48,55 +88,18 @@ FaultPlan RandomServePlan(Rng& rng, int shards, std::uint64_t requests) {
 
 ServeChaosTrial::ServeChaosTrial(const ServeChaosOptions& opts, int shards)
     : opts_(opts), shards_(shards) {
-  DatasetSpec spec;
-  spec.rows = opts_.rows;
-  spec.cardinalities = opts_.cards;
-  spec.seed = opts_.data_seed;
-  schema_ = spec.MakeSchema();
-  const Relation raw = GenerateSlice(spec, 1, 0);
-  cube_ = SequentialCube(raw, schema_, AllViews(schema_.dims()));
-  golden_ = std::make_unique<CubeQueryEngine>(cube_);
-
-  // The request sequence is fixed once per trial harness: the same queries,
-  // in the same order, replay against every candidate plan — so a shrink
-  // step only ever changes the faults, never the traffic.
-  WorkloadSpec wl = opts_.workload;
-  wl.seed = opts_.seed * 0x9E3779B97F4A7C15ULL + 17;
-  const QueryMix mix(cube_, schema_, wl);
-  Rng draw(wl.seed + 1);
-  requests_.reserve(static_cast<std::size_t>(opts_.requests));
-  golden_rels_.reserve(static_cast<std::size_t>(opts_.requests));
-  for (int i = 0; i < opts_.requests; ++i) {
-    const Query q = mix.Sample(draw);
-    requests_.push_back(q);
-    golden_rels_.push_back(golden_->Execute(q).rel);
-  }
+  const DatasetSpec spec = TrialDataset(opts_);
+  const Schema schema = spec.MakeSchema();
+  cube_ = SequentialCube(GenerateSlice(spec, 1, 0), schema,
+                         AllViews(schema.dims()));
+  requests_ = SampleRequests(cube_, schema, opts_, 17);
+  golden_ = GoldenAnswers(cube_, requests_);
 }
 
-ServeChaosTrial::~ServeChaosTrial() = default;
-
-std::optional<std::string> ServeChaosTrial::Check(const FaultPlan& plan) {
+Verdict ServeChaosTrial::Check(const FaultPlan& plan) {
   ManualServeClock clock;
-  ShardSetOptions sopts;
-  sopts.shards = shards_;
-  sopts.clock = &clock;
-  sopts.server.workers = 2;
-  // Shard-side wall-clock deadlines are the one nondeterministic knob; the
-  // chaos trial keeps them off so every trajectory is a pure function of
-  // the plan.
-  sopts.server.deadline = std::chrono::microseconds(0);
-  ShardSet shard_set(cube_, sopts, plan);
-
-  RouterOptions ropts;
-  ropts.per_try_us = 1000;       // trips when slowdown > ~6x nominal
-  ropts.hedge_delay_us = 400;    // hedges on mildly slow tries
-  ropts.max_tries = 3;
-  ropts.backoff.base_us = 500;
-  ropts.backoff.cap_us = 4000;
-  ropts.breaker.failure_threshold = 4;
-  ropts.breaker.window_us = 100000;
-  ropts.breaker.cooldown_us = 2000;
-  ropts.probe_every = 16;
+  ShardSet shard_set(cube_, TrialShardSetOptions(shards_, clock), plan);
+  RouterOptions ropts = TrialRouterOptions();
   ropts.pin_scatter_view = opts_.pin_scatter_view;
   Router router(shard_set, ropts);
 
@@ -109,130 +112,28 @@ std::optional<std::string> ServeChaosTrial::Check(const FaultPlan& plan) {
     if (r.answer == nullptr) {
       return "request " + std::to_string(i) + " reported ok with no answer";
     }
-    if (!(r.answer->rel == golden_rels_[i])) {
+    if (!(r.answer->rel == golden_[i])) {
       std::ostringstream os;
       os << "request " << i << " (" << (r.scatter ? "scatter" : "point")
          << ", view mask " << r.answer->answered_from.mask()
          << ") returned a WRONG answer: " << r.answer->rel.size()
-         << " rows vs golden " << golden_rels_[i].size();
+         << " rows vs golden " << golden_[i].size();
       return os.str();
     }
   }
   return std::nullopt;
 }
 
-FaultPlan ServeChaosTrial::Shrink(const FaultPlan& plan) {
-  FaultPlan cur = plan;
-  const auto fails = [&](const FaultPlan& p) { return Check(p).has_value(); };
-
-  // Phase 1: ddmin-style greedy clause removal to a fixpoint.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    const auto try_drop = [&](auto member) {
-      auto& vec = cur.*member;
-      for (std::size_t i = 0; i < vec.size(); ++i) {
-        FaultPlan cand = cur;
-        auto& cand_vec = cand.*member;
-        cand_vec.erase(cand_vec.begin() + static_cast<std::ptrdiff_t>(i));
-        if (fails(cand)) {
-          cur = std::move(cand);
-          changed = true;
-          return;
-        }
-      }
-    };
-    try_drop(&FaultPlan::shard_kills);
-    if (!changed) try_drop(&FaultPlan::shard_slows);
-  }
-
-  // Phase 2: shrink the surviving windows and factors while the failure
-  // persists — shorter windows, later-to-earlier starts, gentler slowdowns.
-  const auto shrink_window = [&](auto member, auto set_window) {
-    for (std::size_t i = 0; i < (cur.*member).size(); ++i) {
-      // Halve the window length (endless windows first become finite).
-      for (;;) {
-        FaultPlan cand = cur;
-        auto& c = (cand.*member)[i];
-        const std::uint64_t len =
-            (c.until == FaultPlan::kNoEnd)
-                ? static_cast<std::uint64_t>(opts_.requests) - c.from
-                : c.until - c.from;
-        if (len <= 1) break;
-        set_window(c, c.from, c.from + len / 2);
-        if (!fails(cand)) break;
-        cur = std::move(cand);
-      }
-      // Halve the start toward request 0.
-      while ((cur.*member)[i].from > 0) {
-        FaultPlan cand = cur;
-        auto& c = (cand.*member)[i];
-        const std::uint64_t len =
-            (c.until == FaultPlan::kNoEnd) ? 0 : c.until - c.from;
-        const std::uint64_t from = c.from / 2;
-        set_window(c, from,
-                   c.until == FaultPlan::kNoEnd ? FaultPlan::kNoEnd
-                                                : from + len);
-        if (!fails(cand)) break;
-        cur = std::move(cand);
-      }
-    }
-  };
-  shrink_window(&FaultPlan::shard_kills,
-                [](FaultPlan::ShardKill& k, std::uint64_t f, std::uint64_t u) {
-                  k.from = f;
-                  k.until = u;
-                });
-  shrink_window(&FaultPlan::shard_slows,
-                [](FaultPlan::ShardSlow& s, std::uint64_t f, std::uint64_t u) {
-                  s.from = f;
-                  s.until = u;
-                });
-  for (std::size_t i = 0; i < cur.shard_slows.size(); ++i) {
-    while (cur.shard_slows[i].factor > 1.05) {
-      FaultPlan cand = cur;
-      cand.shard_slows[i].factor =
-          1.0 + (cand.shard_slows[i].factor - 1.0) / 2;
-      if (!fails(cand)) break;
-      cur = std::move(cand);
-    }
-  }
-  return cur;
-}
-
 ChaosReport RunServeChaosSearch(const ServeChaosOptions& opts) {
-  ChaosReport report;
-  for (const int shards : opts.shard_counts) {
-    ServeChaosTrial trial(opts, shards);
-    // Per-shard-count stream, so adding a size never reshuffles the plans
-    // another size already explored.
-    Rng rng(opts.seed * 0x9E3779B97F4A7C15ULL +
-            static_cast<std::uint64_t>(shards) + 0x5157);
-    for (int i = 0; i < opts.plans; ++i) {
-      const FaultPlan plan = RandomServePlan(
-          rng, shards, static_cast<std::uint64_t>(opts.requests));
-      ++report.trials;
-      const auto reason = trial.Check(plan);
-      if (opts.verbose) {
-        std::fprintf(stderr, "serve-chaos shards=%d plan %d/%d [%s]: %s\n",
-                     shards, i + 1, opts.plans, plan.ToSpec().c_str(),
-                     reason ? reason->c_str() : "ok");
-      }
-      if (reason.has_value()) {
-        ChaosFailure failure;
-        failure.procs = shards;
-        failure.original = plan;
-        failure.reason = *reason;
-        failure.plan = trial.Shrink(plan);
-        if (opts.verbose) {
-          std::fprintf(stderr, "serve-chaos shards=%d plan %d shrunk to [%s]\n",
-                       shards, i + 1, failure.plan.ToSpec().c_str());
-        }
-        report.failures.push_back(std::move(failure));
-      }
-    }
-  }
-  return report;
+  const auto horizon = static_cast<std::uint64_t>(opts.requests);
+  return RunChaosSearch<ServeChaosTrial>(
+      opts, opts.shard_counts,
+      {.label = "serve-chaos shards",
+       .salt = 0x5157,
+       .horizon = horizon,
+       .draw = [horizon](Rng& rng, int shards) {
+         return RandomServePlan(rng, shards, horizon);
+       }});
 }
 
 }  // namespace chaos

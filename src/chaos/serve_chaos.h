@@ -1,7 +1,7 @@
-// Chaos search over serve-tier fault plans.
+// Chaos search over serve-tier fault plans (chaos/search.h's serving tier).
 //
-// The build-side explorer (chaos/explorer.h) hammers on integrity: a
-// completed build is byte-identical to a fault-free one. This harness is its
+// The build tier (chaos/explorer.h) hammers on integrity: a completed
+// build is byte-identical to a fault-free one. This harness is its
 // serving-tier sibling, and its invariant is the router's contract:
 //
 //   NO WRONG ANSWERS, EVER. Every Router::Execute response is either
@@ -15,52 +15,63 @@
 // (shardkill/shardslow windows keyed on request sequence numbers — see
 // net/fault.h). Determinism is total: virtual time only advances through
 // policy sleeps and injected slowness, so a given (plan, seed) replays
-// bit-for-bit, which makes greedy plan shrinking sound. Failing plans are
-// shrunk ddmin-style (drop clauses, then shrink windows and factors) and
-// reported through the same ChaosReport shape the build explorer uses, so
-// the nightly chaos job handles both tiers uniformly.
+// bit-for-bit, which makes plan shrinking sound. This header also holds
+// what the refresh tier (chaos/refresh_chaos.h) shares with this one: the
+// options, the shard set and router policies, and the request stream.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
-#include "chaos/explorer.h"
-#include "common/rng.h"
-#include "net/fault.h"
+#include "chaos/search.h"
 #include "query/engine.h"
 #include "relation/schema.h"
 #include "seqcube/cube_result.h"
+#include "serve/retry_policy.h"
+#include "serve/router.h"
+#include "serve/shard_set.h"
 #include "serve/workload.h"
 
 namespace sncube {
 namespace chaos {
 
-struct ServeChaosOptions {
-  // Random serve plans to try per shard count.
-  int plans = 16;
-  // Master seed: plan generation and the query workload derive from it.
-  std::uint64_t seed = 1;
+// The options both serving searches read.
+struct ServingSearchOptions : SearchOptions {
   // Shard counts to exercise.
   std::vector<int> shard_counts = {2, 4};
-  // Synthetic dataset the served cube is built over.
-  std::uint64_t rows = 600;
-  std::vector<std::uint32_t> cards = {8, 5, 3};
-  std::uint64_t data_seed = 29;
   // Router requests per trial; fault windows are drawn inside [0, requests).
   int requests = 200;
   // Query mix the requests are sampled from.
   WorkloadSpec workload;
+};
+
+struct ServeChaosOptions : ServingSearchOptions {
   // TEST-ONLY escape hatch (cf. ChaosOptions::verify_restore): false stops
   // the router from pinning one view across a scatter (RouterOptions::
   // pin_scatter_view), re-opening the mixed-view wrong-answer bug so tests
   // can demonstrate this harness catching and shrinking a real corruption.
   bool pin_scatter_view = true;
-  // Progress lines to stderr.
-  bool verbose = false;
 };
+
+// The shard set both serving trials run: `shards` shards of two workers on
+// `clock`. Shard-side wall-clock deadlines are the one nondeterministic
+// knob, so they are off: every trajectory is a pure function of the plan.
+ShardSetOptions TrialShardSetOptions(int shards, ServeClock& clock);
+
+// The router policies both serving trials run under.
+RouterOptions TrialRouterOptions();
+
+// A serving trial's fixed request stream: opts.requests queries sampled
+// from opts.workload over `cube`, seeded from opts.seed and `salt`. Every
+// candidate plan replays the same queries in the same order, so a shrink
+// step only ever changes the faults, never the traffic.
+std::vector<Query> SampleRequests(const CubeResult& cube, const Schema& schema,
+                                  const ServingSearchOptions& opts,
+                                  std::uint64_t salt);
+
+// The full-cube engine's answer to each request: the golden answers.
+std::vector<Relation> GoldenAnswers(const CubeResult& cube,
+                                    const std::vector<Query>& requests);
 
 // Draws one random serve plan for `shards` shards over a `requests`-long
 // run: kill windows (sometimes endless) and slowdown windows per shard.
@@ -73,30 +84,22 @@ FaultPlan RandomServePlan(Rng& rng, int shards, std::uint64_t requests);
 class ServeChaosTrial {
  public:
   ServeChaosTrial(const ServeChaosOptions& opts, int shards);
-  ~ServeChaosTrial();
 
   // Replays the workload through a freshly built ShardSet + Router under
   // `plan`. Returns std::nullopt when every response upholds the invariant,
   // otherwise a human-readable description of the first wrong answer.
-  std::optional<std::string> Check(const FaultPlan& plan);
-
-  // Shrinks a plan for which Check fails to a minimal still-failing plan:
-  // greedy clause removal to a fixpoint, then window/factor shrinking.
-  FaultPlan Shrink(const FaultPlan& plan);
+  Verdict Check(const FaultPlan& plan);
 
  private:
   ServeChaosOptions opts_;
   int shards_;
-  Schema schema_;
   CubeResult cube_;
-  std::unique_ptr<CubeQueryEngine> golden_;
   std::vector<Query> requests_;
-  std::vector<Relation> golden_rels_;  // golden answer per request
+  std::vector<Relation> golden_;  // golden answer per request
 };
 
-// The full search: for each shard count, `plans` random serve plans, each
-// checked and — on failure — shrunk. Deterministic given the options.
-// Failures report the shard count in ChaosFailure::procs.
+// The serving search over `opts.shard_counts`. Deterministic given the
+// options. Failures report the shard count in ChaosFailure::procs.
 ChaosReport RunServeChaosSearch(const ServeChaosOptions& opts);
 
 }  // namespace chaos

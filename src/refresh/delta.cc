@@ -92,10 +92,19 @@ CubeResult MergeDeltaCube(const CubeResult& base, const CubeResult& delta_cube,
 StoreRefreshResult RefreshViewStore(const ViewStore& store,
                                     const CubeManifest& manifest,
                                     const Relation& delta) {
+  StoreRefreshResult result;
+  if (delta.empty()) {
+    // Nothing to merge: the committed epoch already holds the refreshed
+    // cube, so no byte of the directory changes.
+    for (const ViewEntry& entry : manifest.views) {
+      result.merged_rows += entry.rows;
+    }
+    result.epoch = manifest.epoch;
+    return result;
+  }
   std::vector<ViewId> views;
   views.reserve(manifest.views.size());
   for (const ViewEntry& entry : manifest.views) views.push_back(entry.id);
-  StoreRefreshResult result;
   const std::vector<ViewId> affected = AffectedViews(std::move(views), delta);
   result.views_refreshed = affected.size();
   CubeResult delta_cube = ComputeDeltaCube(delta, manifest.schema, affected);

@@ -91,7 +91,8 @@ struct StoreRefreshResult {
 // MergeDeltaCube(LoadCube(), ComputeDeltaCube(...)) at the new epoch. Old
 // or new: until the commit record lands the directory answers as before,
 // and a failure before it (a damaged input view, a failed write) drops the
-// writer, which removes what it wrote.
+// writer, which removes what it wrote. An empty delta writes nothing: the
+// result names the committed epoch and its row total.
 StoreRefreshResult RefreshViewStore(const ViewStore& store,
                                     const CubeManifest& manifest,
                                     const Relation& delta);

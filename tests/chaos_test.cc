@@ -1,8 +1,8 @@
-// Chaos explorer tests: the smoke search upholds the integrity invariant on
-// the hardened code (every completed trial byte-identical to fault-free),
-// plan generation is deterministic, and — against the deliberately
-// re-opened silent-corruption hole (verify_restore=false) — the explorer
-// finds a real integrity bug and shrinks it to a minimal reproducing plan.
+// Chaos search tests: the one shrinker reaches every family's floor on a
+// synthetic predicate; each tier's smoke search upholds its invariant on the
+// hardened code; plan generation is deterministic; and against each tier's
+// deliberately re-opened hole (verify_restore, pin_scatter_view, pin_epoch
+// set false) the search finds the bug and shrinks it to a minimal plan.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -10,11 +10,66 @@
 
 #include "chaos/explorer.h"
 #include "chaos/refresh_chaos.h"
+#include "chaos/search.h"
 #include "chaos/serve_chaos.h"
 #include "common/rng.h"
 
 namespace sncube {
 namespace {
+
+// A synthetic bug that needs a kill of rank 1 at superstep >= 3, a
+// straggler of factor >= 1.5, any torn write, shard 0 down at request 50,
+// shard 0 slowed by >= 2x over a window of >= 4 requests, and a
+// coordinator crash at phase 4. Every other clause is irrelevant.
+chaos::Verdict SyntheticBug(const FaultPlan& p) {
+  bool kill = false, slow = false, shardkill = false, shardslow = false,
+       refreshkill = false;
+  for (const auto& k : p.kills) kill |= k.rank == 1 && k.at_superstep >= 3;
+  for (const auto& s : p.stragglers) slow |= s.factor >= 1.5;
+  for (const auto& k : p.shard_kills) {
+    shardkill |= k.shard == 0 && k.from <= 50 && 50 < k.until;
+  }
+  for (const auto& s : p.shard_slows) {
+    shardslow |= s.shard == 0 && s.until - s.from >= 4 && s.factor >= 2;
+  }
+  for (const auto& k : p.refresh_kills) refreshkill |= k.phase == 4;
+  if (kill && slow && !p.torn_writes.empty() && shardkill && shardslow &&
+      refreshkill) {
+    return "bug";
+  }
+  return std::nullopt;
+}
+
+TEST(ChaosShrink, EveryFamilyShrinksToItsFloor) {
+  const FaultPlan plan = FaultPlan::Parse(
+      "kill:0@20;kill:1@12;slow:0x4;slow:1x2;diskerr:0:0.3;bitflip:0:0.6;"
+      "tornwrite:1:0.2;shardkill:0:40;shardkill:1:10-20;"
+      "shardslow:0:60-100:8;shardslow:1:5-9:3;refreshkill:2;refreshkill:4;"
+      "seed:7");
+  ASSERT_TRUE(SyntheticBug(plan).has_value());
+  // Irrelevant clauses go; the kill halves 12 -> 6 -> 3; the straggler's
+  // excess over 1 halves to 1.5; the torn-write rate halves to the 1e-4
+  // floor; the endless shardkill window is cut at the horizon (100) and
+  // halved to [40, 55); the shardslow window halves to length 5, its start
+  // moves to 0 and its factor halves to 2.75; the refresh kill stays.
+  const FaultPlan minimal = chaos::ShrinkPlan(plan, 100, SyntheticBug);
+  EXPECT_EQ(minimal.ToSpec(),
+            "kill:1@3;slow:1x1.5;tornwrite:1:9.765625e-05;"
+            "shardkill:0:40-55;shardslow:0:0-5:2.75;refreshkill:4;seed:7");
+}
+
+TEST(ChaosShrink, DropsFamiliesInDeclarationOrder) {
+  // Either clause alone reproduces. The earlier family (disk_errors, before
+  // shard_kills in FaultPlan and ToSpec) is tried first and goes. (The
+  // window is already at its floor, so phase 2 leaves it.)
+  const auto either = [](const FaultPlan& p) -> chaos::Verdict {
+    if (p.disk_errors.empty() && p.shard_kills.empty()) return std::nullopt;
+    return "bug";
+  };
+  const FaultPlan minimal = chaos::ShrinkPlan(
+      FaultPlan::Parse("diskerr:0:0.5;shardkill:1:0-1;seed:1"), 10, either);
+  EXPECT_EQ(minimal.ToSpec(), "shardkill:1:0-1;seed:1");
+}
 
 std::size_t ClauseCount(const FaultPlan& plan) {
   return plan.kills.size() + plan.stragglers.size() +
@@ -40,7 +95,7 @@ TEST(Chaos, SmokeSearchFindsNoIntegrityViolations) {
   opts.seed = 11;
   opts.procs = {2, 4};
   opts.rows = 400;
-  const chaos::ChaosReport report = chaos::RunChaosSearch(opts);
+  const chaos::ChaosReport report = chaos::RunBuildChaosSearch(opts);
   EXPECT_EQ(report.trials, 16);
   EXPECT_TRUE(report.ok()) << report.ToJson();
   EXPECT_NE(report.ToJson().find("\"failures\":[]"), std::string::npos);
@@ -67,8 +122,10 @@ TEST(Chaos, ShrinksSilentCorruptionBugToMinimalPlan) {
   ASSERT_TRUE(failing.has_value())
       << "no seed reproduced the silent-corruption bug";
 
-  const FaultPlan minimal = trial.Shrink(*failing);
+  const FaultPlan minimal = chaos::ShrinkPlan(
+      *failing, 0, [&](const FaultPlan& p) { return trial.Check(p); });
   EXPECT_LE(ClauseCount(minimal), 2u) << minimal.ToSpec();
+  EXPECT_EQ(minimal.ToSpec(), "kill:1@12;tornwrite:1:0.0125;seed:2");
   // The shrunk plan still reproduces, and its spec round-trips (it is a
   // complete, replayable bug report).
   EXPECT_TRUE(trial.Check(minimal).has_value());
@@ -98,7 +155,9 @@ TEST(ServeChaos, RandomServePlansAreDeterministicAndRoundTrip) {
       EXPECT_GE(k.shard, 0);
       EXPECT_LT(k.shard, 4);
       EXPECT_LT(k.from, 200u);
-      if (k.until != FaultPlan::kNoEnd) EXPECT_GT(k.until, k.from);
+      if (k.until != FaultPlan::kNoEnd) {
+        EXPECT_GT(k.until, k.from);
+      }
     }
     for (const auto& s : pa.shard_slows) {
       EXPECT_GE(s.factor, 1.5);
@@ -150,6 +209,12 @@ TEST(ServeChaos, UnpinnedScatterIsCaughtAsWrongAnswer) {
   const FaultPlan& minimal = report.failures[0].plan;
   EXPECT_EQ(FaultPlan::Parse(minimal.ToSpec()).ToSpec(), minimal.ToSpec());
   EXPECT_LE(ServeClauseCount(minimal), ServeClauseCount(report.failures[0].original));
+  // Every one of the six failing plans shrinks to no clause at all: the bug
+  // needs no fault.
+  ASSERT_EQ(report.failures.size(), 6u);
+  for (const chaos::ChaosFailure& f : report.failures) {
+    EXPECT_EQ(f.plan.ToSpec(), "seed:" + std::to_string(f.original.seed));
+  }
 
   // The identical search with the pin in place is clean.
   chaos::ServeChaosOptions pinned = opts;
@@ -179,7 +244,7 @@ TEST(RefreshChaos, RandomRefreshPlansAreDeterministicAndRoundTrip) {
 }
 
 TEST(RefreshChaos, SmokeSearchFindsNoBlends) {
-  // The refresh invariant under randomized coordinator kills, snapshot
+  // The refresh invariant under randomized coordinator kills, store
   // corruption, and shard churn: every OK response — before, during, after
   // the swap, and after crash recovery — is byte-identical to the pre- or
   // post-refresh golden. Old or new, never a blend.
@@ -197,7 +262,7 @@ TEST(RefreshChaos, SmokeSearchFindsNoBlends) {
 TEST(RefreshChaos, UnpinnedEpochBlendIsCaughtAndShrunk) {
   // pin_epoch=false re-opens the naive single-phase swap: mid-commit-loop
   // each shard answers from whatever epoch it last adopted, so a scatter
-  // straddling the commit frontier mixes two snapshots. The harness must
+  // straddling the commit frontier mixes two epochs. The harness must
   // catch that as a blend and shrink the plan — proving the invariant check
   // has teeth and that end-to-end epoch pinning is load-bearing.
   chaos::RefreshChaosOptions opts;
@@ -206,7 +271,6 @@ TEST(RefreshChaos, UnpinnedEpochBlendIsCaughtAndShrunk) {
   opts.seed = 9;
   opts.shard_counts = {2};
   opts.rows = 400;
-  opts.delta_rows = 200;
   opts.requests = 100;
   opts.workload.alpha = 0.0;  // uniform: scatters get sampled mid-swap
   const chaos::ChaosReport report = chaos::RunRefreshChaosSearch(opts);
@@ -220,6 +284,10 @@ TEST(RefreshChaos, UnpinnedEpochBlendIsCaughtAndShrunk) {
   EXPECT_EQ(FaultPlan::Parse(minimal.ToSpec()).ToSpec(), minimal.ToSpec());
   EXPECT_LE(RefreshClauseCount(minimal),
             RefreshClauseCount(report.failures[0].original));
+  ASSERT_EQ(report.failures.size(), 2u);
+  for (const chaos::ChaosFailure& f : report.failures) {
+    EXPECT_EQ(f.plan.ToSpec(), "seed:" + std::to_string(f.original.seed));
+  }
 
   // The identical search with epoch pinning in place is clean.
   chaos::RefreshChaosOptions pinned = opts;

@@ -223,41 +223,69 @@ TEST(DeltaMerge, StreamedStoreRefreshMatchesWholeCubePath) {
   const DatasetSpec spec = BaseSpec();
   const Schema schema = spec.MakeSchema();
   const Relation base_rel = GenerateSlice(spec, 1, 0);
-  const Relation delta_rel = GenerateSlice(DeltaSpec(), 1, 0);
+  const Relation delta = GenerateSlice(DeltaSpec(), 1, 0);
   const AnalyticEstimator est(schema, static_cast<double>(base_rel.size()));
   const auto dir = FreshDir("streamed");
   for (const int count : {8, 1, 3, 5}) {
     const std::vector<ViewId> selected =
         count == 8 ? AllViews(3) : GreedySelectViews(3, count, est);
     const CubeResult cube = SequentialCube(base_rel, schema, selected);
-    for (const Relation& delta : {delta_rel, Relation(3)}) {
-      const std::string what = std::to_string(count) + " views, " +
-                               std::to_string(delta.size()) + " delta rows";
-      std::filesystem::remove_all(dir);
-      const ViewStore streamed(dir / "streamed");
-      const ViewStore whole(dir / "whole");
-      streamed.SaveCube(cube, schema);
-      whole.SaveCube(cube, schema);
+    const std::string what = std::to_string(count) + " views";
+    std::filesystem::remove_all(dir);
+    const ViewStore streamed(dir / "streamed");
+    const ViewStore whole(dir / "whole");
+    streamed.SaveCube(cube, schema);
+    whole.SaveCube(cube, schema);
 
+    const StoreRefreshResult result =
+        RefreshViewStore(streamed, streamed.LoadManifest(), delta);
+
+    const CubeResult base = whole.LoadCube();
+    const CubeResult merged = MergeDeltaCube(
+        base, ComputeDeltaCube(delta, schema, AffectedViews(base, delta)));
+    CommitEpoch(whole.dir(), schema, 1, merged);
+    whole.RemoveEpochsBelow(1);
+
+    EXPECT_EQ(DirBytes(dir / "streamed"), DirBytes(dir / "whole")) << what;
+    // The MANIFEST and epoch 1's one segment (a small cube).
+    EXPECT_EQ(DirBytes(dir / "streamed").size(), 2u) << what;
+    EXPECT_EQ(streamed.LoadManifest().views, whole.LoadManifest().views)
+        << what;
+    EXPECT_EQ(result.epoch, 1u) << what;
+    EXPECT_EQ(result.views_refreshed, IndexOf(merged).size()) << what;
+    EXPECT_EQ(result.merged_rows, merged.TotalRows()) << what;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// An empty delta commits nothing: on a full cube and on greedy partial
+// cubes, at the build's epoch 0 and at a refreshed epoch 1, every byte of
+// the directory stays, and the result names the committed epoch and its
+// row total.
+TEST(DeltaMerge, EmptyDeltaStoreRefreshCommitsNothing) {
+  const DatasetSpec spec = BaseSpec();
+  const Schema schema = spec.MakeSchema();
+  const Relation base_rel = GenerateSlice(spec, 1, 0);
+  const Relation delta = GenerateSlice(DeltaSpec(), 1, 0);
+  const AnalyticEstimator est(schema, static_cast<double>(base_rel.size()));
+  const auto dir = FreshDir("empty_delta");
+  for (const int count : {8, 1, 3, 5}) {
+    const std::vector<ViewId> selected =
+        count == 8 ? AllViews(3) : GreedySelectViews(3, count, est);
+    std::filesystem::remove_all(dir);
+    const ViewStore store(dir);
+    store.SaveCube(SequentialCube(base_rel, schema, selected), schema);
+    for (const std::uint64_t epoch : {0, 1}) {
+      if (epoch == 1) RefreshViewStore(store, store.LoadManifest(), delta);
+      const std::string what = std::to_string(count) + " views, epoch " +
+                               std::to_string(epoch);
+      const auto before = DirBytes(dir);
       const StoreRefreshResult result =
-          RefreshViewStore(streamed, streamed.LoadManifest(), delta);
-
-      const CubeResult base = whole.LoadCube();
-      const CubeResult merged = MergeDeltaCube(
-          base, ComputeDeltaCube(delta, schema, AffectedViews(base, delta)));
-      CommitEpoch(whole.dir(), schema, 1, merged);
-      whole.RemoveEpochsBelow(1);
-
-      EXPECT_EQ(DirBytes(dir / "streamed"), DirBytes(dir / "whole")) << what;
-      // The MANIFEST and epoch 1's one segment (a small cube).
-      EXPECT_EQ(DirBytes(dir / "streamed").size(), 2u) << what;
-      EXPECT_EQ(streamed.LoadManifest().views, whole.LoadManifest().views)
-          << what;
-      EXPECT_EQ(result.epoch, 1u) << what;
-      EXPECT_EQ(result.views_refreshed,
-                delta.empty() ? 0u : IndexOf(merged).size())
-          << what;
-      EXPECT_EQ(result.merged_rows, merged.TotalRows()) << what;
+          RefreshViewStore(store, store.LoadManifest(), Relation(3));
+      EXPECT_EQ(DirBytes(dir), before) << what;
+      EXPECT_EQ(result.epoch, epoch) << what;
+      EXPECT_EQ(result.views_refreshed, 0u) << what;
+      EXPECT_EQ(result.merged_rows, store.LoadCube().TotalRows()) << what;
     }
   }
   std::filesystem::remove_all(dir);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -17,6 +18,17 @@
 
 namespace sncube {
 namespace {
+
+// `workers` threads, a `queue_depth`-deep queue and a per-request
+// `deadline` (zero: none); every other option at its default.
+ServerOptions Sized(int workers, std::size_t queue_depth,
+                    std::chrono::microseconds deadline = {}) {
+  ServerOptions opts;
+  opts.workers = workers;
+  opts.queue_depth = queue_depth;
+  opts.deadline = deadline;
+  return opts;
+}
 
 QueryAnswer MakeAnswer(std::size_t rows) {
   QueryAnswer a;
@@ -159,7 +171,7 @@ struct ServeFixture : ::testing::Test {
 };
 
 TEST_F(ServeFixture, ExecuteMatchesEngine) {
-  CubeServer server(cube, {.workers = 2, .queue_depth = 32});
+  CubeServer server(cube, Sized(2, 32));
   const CubeQueryEngine engine(cube);
   Query q;
   q.group_by = ViewId::FromDims({0, 2});
@@ -170,7 +182,7 @@ TEST_F(ServeFixture, ExecuteMatchesEngine) {
 }
 
 TEST_F(ServeFixture, RepeatedQueryHitsCache) {
-  CubeServer server(cube, {.workers = 2, .queue_depth = 32});
+  CubeServer server(cube, Sized(2, 32));
   Query q;
   q.group_by = ViewId::FromDims({1});
   ASSERT_NE(server.Execute(q), nullptr);
@@ -184,7 +196,7 @@ TEST_F(ServeFixture, RepeatedQueryHitsCache) {
 TEST_F(ServeFixture, UnroutableQueryFailsGracefully) {
   const CubeResult partial =
       SequentialCube(raw, schema, {ViewId::FromDims({0, 1})});
-  CubeServer server(partial, {.workers = 2, .queue_depth = 32});
+  CubeServer server(partial, Sized(2, 32));
   Query q;
   q.group_by = ViewId::FromDims({3});  // nothing covers D3
   EXPECT_EQ(server.Execute(q), nullptr);
@@ -200,7 +212,7 @@ TEST_F(ServeFixture, QueueFullRejectsInsteadOfBlocking) {
   std::condition_variable cv;
   bool release = false;
 
-  CubeServer server(cube, {.workers = 1, .queue_depth = 2});
+  CubeServer server(cube, Sized(1, 2));
   Query q;
   q.group_by = ViewId::FromDims({0});
 
@@ -243,9 +255,7 @@ TEST_F(ServeFixture, DeadlineExpiredRequestTimesOutWithoutExecuting) {
   std::condition_variable cv;
   bool release = false;
 
-  CubeServer server(cube, {.workers = 1,
-                           .queue_depth = 8,
-                           .deadline = std::chrono::milliseconds(20)});
+  CubeServer server(cube, Sized(1, 8, std::chrono::milliseconds(20)));
   Query q;
   q.group_by = ViewId::FromDims({0});
 
@@ -290,8 +300,8 @@ TEST_F(ServeFixture, DeadlineExpiredRequestTimesOutWithoutExecuting) {
 
   // A fresh server with the same deadline but an idle worker serves the
   // identical query fine — the deadline only sheds requests that waited.
-  CubeServer fresh(cube, {.workers = 1,
-                          .deadline = std::chrono::milliseconds(5000)});
+  CubeServer fresh(cube, Sized(1, ServerOptions{}.queue_depth,
+                               std::chrono::milliseconds(5000)));
   EXPECT_NE(fresh.Execute(q), nullptr);
 }
 
@@ -312,8 +322,10 @@ TEST_F(ServeFixture, ConcurrentClientsMatchSingleThreadedAnswers) {
   expected.reserve(mix.pool().size());
   for (const Query& q : mix.pool()) expected.push_back(engine.Execute(q));
 
-  CubeServer server(cube, {.workers = 4, .queue_depth = 1024,
-                           .cache_bytes = 1u << 20, .cache_shards = 4});
+  ServerOptions opts = Sized(4, 1024);
+  opts.cache_bytes = 1u << 20;
+  opts.cache_shards = 4;
+  CubeServer server(cube, opts);
   std::atomic<int> mismatches{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
@@ -338,8 +350,7 @@ TEST_F(ServeFixture, ConcurrentClientsMatchSingleThreadedAnswers) {
 }
 
 TEST_F(ServeFixture, ShutdownIsIdempotentAndDrains) {
-  auto server = std::make_unique<CubeServer>(
-      cube, ServerOptions{.workers = 2, .queue_depth = 64});
+  auto server = std::make_unique<CubeServer>(cube, Sized(2, 64));
   Query q;
   q.group_by = ViewId::FromDims({0, 1});
   std::atomic<int> done{0};
@@ -360,7 +371,7 @@ TEST_F(ServeFixture, ShutdownIsIdempotentAndDrains) {
 // could then free members under a live worker (the bug -Wthread-safety
 // surfaced when the join moved under mu_).
 TEST_F(ServeFixture, ConcurrentShutdownCallersAllWaitForQuiescence) {
-  CubeServer server(cube, {.workers = 3, .queue_depth = 128});
+  CubeServer server(cube, Sized(3, 128));
   Query q;
   q.group_by = ViewId::FromDims({0, 1});
   std::atomic<int> callbacks{0};
@@ -432,9 +443,7 @@ TEST_F(ServeFixture, QueuedExpiryDoesNotCountAsInFlight) {
   std::mutex mu;
   std::condition_variable cv;
   bool release = false;
-  CubeServer server(cube, {.workers = 1,
-                           .queue_depth = 8,
-                           .deadline = std::chrono::milliseconds(15)});
+  CubeServer server(cube, Sized(1, 8, std::chrono::milliseconds(15)));
   Query q;
   q.group_by = ViewId::FromDims({2});
   ASSERT_EQ(server.Submit(q,
@@ -464,7 +473,7 @@ TEST_F(ServeFixture, QueuedExpiryDoesNotCountAsInFlight) {
 }
 
 TEST_F(ServeFixture, InvalidateCacheForcesRecomputeAndCountsDrops) {
-  CubeServer server(cube, {.workers = 2, .queue_depth = 32});
+  CubeServer server(cube, Sized(2, 32));
   Query q;
   q.group_by = ViewId::FromDims({1, 3});
   ASSERT_NE(server.Execute(q), nullptr);  // miss + insert

@@ -33,6 +33,10 @@
    exit 1 and leave no path behind.
 9. `serve --refresh-every` without `--snapshot-dir` and the three `chaos`
    searches leave nothing in TMPDIR.
+10. A `refresh` whose delta is a header-only CSV commits nothing, at the
+   build's epoch and after a refresh: the MANIFEST and every view file keep
+   their bytes and names, it prints the committed epoch, and the answers
+   stay.
 """
 
 import argparse
@@ -177,6 +181,41 @@ def check_two_refreshes(binary, tmp):
                                  f"{files} (epoch {committed}), expected "
                                  f"{want}")
     check_answers(binary, cube, FACTS + DELTA + DELTA, "two refreshes")
+
+
+def check_empty_delta(binary, tmp):
+    cube = tmp / "cube_empty_delta"
+    out = run(binary, "build", "--in", tmp / "facts.csv", "--out", cube)
+    if out.returncode != 0:
+        raise AssertionError(f"build failed: {out.stderr}")
+    write_csv(tmp / "empty.csv", [])
+    for epoch, rows in ((0, FACTS), (1, FACTS + DELTA)):
+        if epoch == 1:
+            out = run(binary, "refresh", "--cube", cube, "--delta",
+                      tmp / "delta.csv")
+            if out.returncode != 0:
+                raise AssertionError(f"refresh failed: {out.stderr}")
+        before = dir_bytes(cube)
+        out = run(binary, "refresh", "--cube", cube, "--delta",
+                  tmp / "empty.csv")
+        if out.returncode != 0:
+            raise AssertionError(f"empty refresh at epoch {epoch} failed: "
+                                 f"{out.stderr}")
+        printed = json.loads(out.stdout)
+        if printed["epoch"] != epoch or printed["views_refreshed"] != 0:
+            raise AssertionError(f"empty refresh at epoch {epoch} printed "
+                                 f"{out.stdout!r}")
+        after = dir_bytes(cube)
+        if sorted(after) != sorted(before):
+            raise AssertionError(f"empty refresh at epoch {epoch} changed the "
+                                 f"listing {sorted(before)} to "
+                                 f"{sorted(after)}")
+        if after != before:
+            raise AssertionError(f"empty refresh at epoch {epoch} changed the "
+                                 f"bytes of " + ", ".join(
+                                     n for n in before
+                                     if before[n] != after[n]))
+        check_answers(binary, cube, rows, f"empty refresh at epoch {epoch}")
 
 
 def check_query_flags(binary, cube):
@@ -462,6 +501,7 @@ def main():
 
         check_parallel_builds_identical(binary, tmp)
         check_two_refreshes(binary, tmp)
+        check_empty_delta(binary, tmp)
         check_query_flags(binary, tmp / "cube_crlf")
         check_usage_errors(binary, tmp, tmp / "cube_crlf")
         check_flipped_byte_refused(binary, tmp)

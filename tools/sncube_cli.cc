@@ -189,7 +189,8 @@ constexpr const char* kHelpText =
     "  --seed S           master seed for plan generation (default 1)\n"
     "  --procs P0,P1,...  cluster sizes to exercise (default 2,4; build\n"
     "                     search only)\n"
-    "  --rows R           synthetic fact rows per trial (default 600)\n"
+    "  --rows R           synthetic fact rows per trial (default 600; 500\n"
+    "                     with --refresh)\n"
     "  --fail-out FILE    append each minimal failing plan spec, one per line\n"
     "  --verbose          per-trial progress on stderr\n"
     "  --serve            search the SERVING tier instead: random shardkill/\n"
@@ -199,7 +200,8 @@ constexpr const char* kHelpText =
     "                     Deterministic under a manual clock; failing plans\n"
     "                     are shrunk like build plans. With --serve:\n"
     "  --shards N0,N1,... shard counts to exercise (default 2,4)\n"
-    "  --requests N       router requests per trial (default 200)\n"
+    "  --requests N       router requests per trial (default 200; 120 with\n"
+    "                     --refresh)\n"
     "  --refresh          search the ONLINE REFRESH path instead: plans mix\n"
     "                     coordinator kills at two-phase-swap phases\n"
     "                     (refreshkill:K), store disk corruption, and\n"
@@ -959,8 +961,7 @@ int CmdServe(const Args& args) {
 
 // The flags every chaos search reads; each defaults to the search's own
 // option value.
-template <typename Options>
-void ParseChaosFlags(const Args& args, Options& opts) {
+void ParseChaosFlags(const Args& args, chaos::SearchOptions& opts) {
   opts.plans = static_cast<int>(
       FlagOr<std::uint32_t>(args, "plans", opts.plans, 1, kIntMax));
   opts.seed = FlagOr<std::uint64_t>(args, "seed", opts.seed);
@@ -970,8 +971,8 @@ void ParseChaosFlags(const Args& args, Options& opts) {
 
 // ParseChaosFlags plus the serve and refresh searches' --requests and
 // --shards.
-template <typename Options>
-void ParseServingChaosFlags(const Args& args, Options& opts) {
+void ParseServingChaosFlags(const Args& args,
+                            chaos::ServingSearchOptions& opts) {
   ParseChaosFlags(args, opts);
   opts.requests = static_cast<int>(
       FlagOr<std::uint32_t>(args, "requests", opts.requests, 1, kIntMax));
@@ -1028,7 +1029,7 @@ int CmdChaos(const Args& args) {
   if (const auto procs = args.Get("procs")) {
     opts.procs = ParseFlagList<int>("--procs", *procs, 2);
   }
-  return ReportChaos(args, chaos::RunChaosSearch(opts));
+  return ReportChaos(args, chaos::RunBuildChaosSearch(opts));
 }
 
 }  // namespace
