@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the sequential kernels: relation
 // sort, pipelined multi-view aggregation vs naive per-view sorting, external
-// sort spill, Hungarian matching, and schedule-tree construction — plus a
+// sort spill, Hungarian matching, schedule-tree construction, and the view
+// frame codec with the refresh's packed merge — plus a
 // wall-clock sweep of the exec runtime's ParallelSort against the serial
 // sort (1/2/4/8 threads, three record widths), written to BENCH_exec.json.
 #include <benchmark/benchmark.h>
@@ -18,6 +19,7 @@
 #include "exec/task_pool.h"
 #include "io/external_sort.h"
 #include "lattice/lattice.h"
+#include "refresh/delta.h"
 #include "relation/aggregate.h"
 #include "relation/serialize.h"
 #include "relation/sort.h"
@@ -25,6 +27,7 @@
 #include "schedule/pipesort.h"
 #include "seqcube/pipeline.h"
 #include "seqcube/seq_cube.h"
+#include "seqcube/view_frame.h"
 
 namespace sncube {
 namespace {
@@ -135,6 +138,68 @@ void BM_PerViewSortFullCube(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PerViewSortFullCube)->Arg(20000);
+
+// ---------------------------------------------------------------------------
+// The view frame codec and the refresh's packed merge, per row of the
+// largest view of a serve_refresh-shaped cube: 100k facts, cards
+// 256,128,64,32,16,8 (the full view, about 100k rows, a narrow key), and
+// the same view of a 2k-row delta's cube.
+
+struct FrameFixture {
+  ViewResult view;
+  ByteBuffer frame;
+  CubeResult delta_cube;
+
+  FrameFixture() {
+    DatasetSpec spec;
+    spec.rows = 100000;
+    spec.cardinalities = {256, 128, 64, 32, 16, 8};
+    spec.seed = 7;
+    const Schema schema = spec.MakeSchema();
+    const ViewId top = ViewId::FromDims(IdentityOrder(6));
+    view = SequentialCube(GenerateDataset(spec), schema, {top}).views.at(top);
+    frame = EncodeViewFrame(view, 0);
+    spec.rows = 2000;
+    spec.seed = 1000007;
+    delta_cube = SequentialCube(GenerateDataset(spec), schema, {top});
+  }
+};
+
+const FrameFixture& Frames() {
+  static const FrameFixture fixture;
+  return fixture;
+}
+
+void BM_FrameDecode(benchmark::State& state) {
+  const FrameFixture& f = Frames();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(DecodeViewFrame(f.frame));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(f.view.rel.size()));
+}
+BENCHMARK(BM_FrameDecode);
+
+void BM_FrameEncode(benchmark::State& state) {
+  const FrameFixture& f = Frames();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(EncodeViewFrame(f.view, 1));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(f.view.rel.size()));
+}
+BENCHMARK(BM_FrameEncode);
+
+// Items are the base view's rows, as above; the delta adds 2k more.
+void BM_FrameMergeDelta(benchmark::State& state) {
+  const FrameFixture& f = Frames();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MergeDeltaFrame(f.frame, f.delta_cube, 1));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(f.view.rel.size()));
+}
+BENCHMARK(BM_FrameMergeDelta);
 
 // ---------------------------------------------------------------------------
 // exec runtime: serial sort vs ParallelSort, wall clock.

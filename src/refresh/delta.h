@@ -69,6 +69,22 @@ void MergeAggregateByOrder(const Relation& a, const Relation& b,
 void MergeDeltaView(const ViewResult& base, const CubeResult& delta_cube,
                     AggFn fn, ViewResult& out);
 
+// One refreshed view in the stored encoding: the frame `base`
+// (seqcube/view_frame.h) merged with its counterpart in `delta_cube` into a
+// frame of epoch `epoch`. The bytes are EncodeViewFrame(MergeDeltaView(
+// DecodeViewFrame(base).view, delta_cube, AggFn::kSum), epoch), made
+// without unpacking a row: a FrameCursor walks the base, the delta view
+// (re-sorted to the base order when its own differs) is packed at the
+// merged widths, a two-way merge on packed keys sums rows with equal keys,
+// and a FrameEncoder writes the result. A merged column's width is the
+// larger of the base's recorded width and the bit width of the OR of the
+// delta's column; when the delta widens one, each base key is repacked at
+// the new widths inside the same loop. Throws SncubeCorruptionError where
+// DecodeViewFrame would, and on a base whose recorded widths are not its
+// columns' bit widths (no writer makes one).
+ByteBuffer MergeDeltaFrame(std::span<const std::byte> base,
+                           const CubeResult& delta_cube, std::uint64_t epoch);
+
 // The refreshed cube: MergeDeltaView over every view of `base`. `base` is
 // untouched — the result is a fresh CubeResult, immutable once handed to the
 // serving tier like any other (epoch snapshots depend on this).
@@ -84,15 +100,16 @@ struct StoreRefreshResult {
 // Refreshes the cube directory of `store`, whose newest committed index is
 // `manifest`, one view at a time: cubes `delta` once over the index's
 // views, then writes epoch manifest.epoch + 1 beside the committed one
-// through one ViewStore::Writer (per index entry: load the base view, merge
-// it (MergeDeltaView), write it), commits it and removes every older
-// epoch's view files. Peak memory is the delta cube plus one base and one
-// merged view, reused across views. The view files hold the frames of
-// MergeDeltaCube(LoadCube(), ComputeDeltaCube(...)) at the new epoch. Old
-// or new: until the commit record lands the directory answers as before,
-// and a failure before it (a damaged input view, a failed write) drops the
-// writer, which removes what it wrote. An empty delta writes nothing: the
-// result names the committed epoch and its row total.
+// through one ViewStore::Writer (per index entry: read the base frame,
+// merge the delta view into it (MergeDeltaFrame), write the merged frame),
+// commits it and removes every older epoch's view files. Peak memory is the
+// delta cube plus one base and one merged frame; no view is decoded. The
+// view files hold the frames of MergeDeltaCube(LoadCube(),
+// ComputeDeltaCube(...)) at the new epoch. Old or new: until the commit
+// record lands the directory answers as before, and a failure before it (a
+// damaged input view, a failed write) drops the writer, which removes what
+// it wrote. An empty delta writes nothing: the result names the committed
+// epoch and its row total.
 StoreRefreshResult RefreshViewStore(const ViewStore& store,
                                     const CubeManifest& manifest,
                                     const Relation& delta);

@@ -337,38 +337,45 @@ void ViewStore::SaveCube(const CubeResult& cube, const Schema& schema) const {
   SaveCubeParts({&cube, 1}, schema);
 }
 
-void ViewStore::Load(const ViewEntry& entry, ViewResult& view) const {
+ByteBuffer ViewStore::ReadFrame(const ViewEntry& entry) const {
   const std::string name = FileOf(entry);
-  ViewFrame frame{0, std::move(view)};
+  ByteBuffer frame;
+  FrameHeader header;
   try {
     WithDisk("view read", [&](DiskModel& disk) {
-      DecodeViewFrame(
-          ReadSealedRange(dir_ / name, entry.offset, entry.bytes, disk),
-          frame);
+      frame = ReadSealedRange(dir_ / name, entry.offset, entry.bytes, disk);
     });
+    header = FrameCursor(frame).header();
   } catch (const SncubeCorruptionError& e) {
     throw SncubeCorruptionError(name + ": " + e.what());
   }
-  view = std::move(frame.view);
-  if (view.id != entry.id) {
+  if (header.id != entry.id) {
     throw SncubeCorruptionError(name + " holds a different view");
   }
-  if (frame.epoch != entry.epoch) {
+  if (header.epoch != entry.epoch) {
     throw SncubeCorruptionError(name + " holds a frame of epoch " +
-                                std::to_string(frame.epoch));
+                                std::to_string(header.epoch));
   }
-  if (view.rel.size() != entry.rows) {
+  if (header.rows != entry.rows) {
     throw SncubeCorruptionError(name + " holds " +
-                                std::to_string(view.rel.size()) +
+                                std::to_string(header.rows) +
                                 " rows; the MANIFEST says " +
                                 std::to_string(entry.rows));
   }
+  return frame;
 }
 
 ViewResult ViewStore::Load(const ViewEntry& entry) const {
-  ViewResult view;
-  Load(entry, view);
-  return view;
+  const ByteBuffer frame = ReadFrame(entry);
+  try {
+    return DecodeViewFrame(frame).view;
+  } catch (const SncubeCorruptionError& e) {
+    throw SncubeCorruptionError(FileOf(entry) + ": " + e.what());
+  }
+}
+
+std::string ViewStore::FileName(const ViewEntry& entry) {
+  return FileOf(entry);
 }
 
 CubeResult ViewStore::LoadCube() const {
@@ -479,23 +486,23 @@ ViewStore::Writer::~Writer() {
 }
 
 void ViewStore::Writer::Write(const ViewResult& view) {
-  Put(view.id, view.rel.size(), EncodeViewFrame(view, epoch_));
+  WriteFrame(EncodeViewFrame(view, epoch_));
 }
 
 void ViewStore::Writer::Write(ViewId id, const std::vector<int>& order,
                               std::span<const Relation* const> parts) {
-  std::uint64_t rows = 0;
-  for (const Relation* rel : parts) rows += rel->size();
-  Put(id, rows,
-      EncodeViewFrame(id, order, /*selected=*/true, epoch_, parts));
+  WriteFrame(EncodeViewFrame(id, order, /*selected=*/true, epoch_, parts));
 }
 
-void ViewStore::Writer::Put(ViewId id, std::uint64_t rows,
-                            std::span<const std::byte> frame) {
+ViewEntry ViewStore::Writer::WriteFrame(std::span<const std::byte> frame) {
+  const FrameCursor cursor(frame);
+  const FrameHeader& header = cursor.header();
+  const ViewId id = header.id;
+  SNCUBE_CHECK_MSG(header.epoch == epoch_, "a frame of another epoch");
   SNCUBE_CHECK_MSG(!prepared_, "view written after its epoch's prepare");
   SNCUBE_CHECK_MSG(epoch_ == 0 || views_.empty() || views_.back().id < id,
                    "a segment takes its views in ascending mask order");
-  ViewEntry entry{id, rows, epoch_};
+  ViewEntry entry{id, header.rows, epoch_};
   entry.bytes = frame.size() + kFrameTrailerBytes;
   if (epoch_ != 0) {
     PlaceInSegment(views_.empty() ? nullptr : &views_.back(), entry);
@@ -509,6 +516,7 @@ void ViewStore::Writer::Put(ViewId id, std::uint64_t rows,
                                      : AppendSealedFrame(path, frame, disk);
     SNCUBE_CHECK(sealed == entry.bytes);
   });
+  return entry;
 }
 
 void ViewStore::Writer::Append(const std::string& record) {

@@ -63,6 +63,7 @@
 
 #include "io/disk.h"
 #include "relation/schema.h"
+#include "relation/serialize.h"
 #include "seqcube/cube_result.h"
 
 namespace sncube {
@@ -119,15 +120,20 @@ class ViewStore {
   // The one-part case.
   void SaveCube(const CubeResult& cube, const Schema& schema) const;
 
-  // Loads the frame an index entry names. Throws SncubeIoError when its
-  // file is missing and SncubeCorruptionError when any byte of the frame is
-  // damaged, the file ends before it, or the frame disagrees with the
-  // entry's mask, epoch or row count.
+  // Reads the frame an index entry names (seqcube/view_frame.h) and checks
+  // its header. Throws SncubeIoError when its file is missing and
+  // SncubeCorruptionError, naming the file, when any byte of the frame is
+  // damaged, the file ends before it, or the header disagrees with the
+  // entry's mask, epoch or row count. The rows are checked by whoever
+  // walks them.
+  ByteBuffer ReadFrame(const ViewEntry& entry) const;
+  // Loads the view an index entry names: ReadFrame, then DecodeViewFrame.
   ViewResult Load(const ViewEntry& entry) const;
-  // The same into `view`, whose storage is reused (DecodeViewFrame).
-  void Load(const ViewEntry& entry, ViewResult& view) const;
   // Loads every view of the newest committed epoch.
   CubeResult LoadCube() const;
+
+  // The name of the file that holds an entry's frame, for messages.
+  static std::string FileName(const ViewEntry& entry);
 
   // Writer-side maintenance. Clear removes the MANIFEST, then every view
   // file and segment (set-aside ones included), creating the directory if
@@ -185,6 +191,9 @@ class ViewStore::Writer {
   // `order`); the bytes are those of the whole view.
   void Write(ViewId id, const std::vector<int>& order,
              std::span<const Relation* const> parts);
+  // Writes an already-encoded frame of this writer's epoch (checked) and
+  // returns its index entry: the view and row count its header records.
+  ViewEntry WriteFrame(std::span<const std::byte> frame);
   // Appends `prepare`, its entries in ascending mask order. A view written
   // twice fails a check.
   void Prepare();
@@ -194,7 +203,6 @@ class ViewStore::Writer {
   void Abandon() { done_ = true; }
 
  private:
-  void Put(ViewId id, std::uint64_t rows, std::span<const std::byte> frame);
   void Append(const std::string& record);
 
   ViewStore store_;

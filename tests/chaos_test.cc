@@ -139,6 +139,28 @@ TEST(Chaos, ShrinksSilentCorruptionBugToMinimalPlan) {
   EXPECT_EQ(hardened.Check(minimal), std::nullopt);
 }
 
+TEST(Chaos, NightlyShapeSearchFindsTheRestoreHole) {
+  // The random search itself, not a hand-written plan, must reach the
+  // verify_restore=false hole at the nightly shape (600 rows, p = 2 and 4).
+  // Over seeds 1-5 at 64 plans it fails 2, 1, 3, 6 and 2 times; seed 2's
+  // 16th p = 2 plan is the earliest failing plan of any of them, so 16
+  // plans are the smallest search that reaches it. A RandomPlan change that
+  // stops reaching the hole fails here.
+  chaos::ChaosOptions opts;
+  opts.plans = 16;
+  opts.seed = 2;
+  opts.verify_restore = false;
+  const chaos::ChaosReport report = chaos::RunBuildChaosSearch(opts);
+  EXPECT_EQ(report.trials, 32);
+  ASSERT_FALSE(report.ok()) << "the search no longer reaches the hole";
+  for (const chaos::ChaosFailure& f : report.failures) {
+    EXPECT_LE(ClauseCount(f.plan), 2u) << f.plan.ToSpec();
+  }
+  // The identical search against the hardened restore path is clean.
+  opts.verify_restore = true;
+  EXPECT_TRUE(chaos::RunBuildChaosSearch(opts).ok());
+}
+
 std::size_t ServeClauseCount(const FaultPlan& plan) {
   return plan.shard_kills.size() + plan.shard_slows.size();
 }

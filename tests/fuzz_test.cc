@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "common/rng.h"
@@ -14,6 +15,7 @@
 #include "net/fault.h"
 #include "net/wire.h"
 #include "query/engine.h"
+#include "refresh/delta.h"
 #include "schedule/partial.h"
 #include "schedule/pipesort.h"
 #include "schedule/schedule_tree.h"
@@ -175,6 +177,37 @@ ByteBuffer Mutate(Rng& rng, ByteBuffer b) {
   return b;
 }
 
+// The refresh's read path on a possibly damaged frame: MergeDeltaFrame
+// throws a typed error wherever DecodeViewFrame does, and otherwise writes
+// exactly the frame of the decoded view merged with `delta` — or refuses a
+// frame whose recorded widths are not its columns' bit widths (no writer
+// makes one, and the merge keeps the recorded widths).
+void ExpectMergeMatchesDecodePath(const ByteBuffer& frame,
+                                  const CubeResult& delta) {
+  std::optional<ViewFrame> decoded;
+  try {
+    decoded = DecodeViewFrame(frame);
+  } catch (const SncubeError&) {
+  }
+  std::optional<ByteBuffer> merged;
+  try {
+    merged = MergeDeltaFrame(frame, delta, 5);
+  } catch (const SncubeError&) {
+  }
+  if (!decoded.has_value()) {
+    EXPECT_FALSE(merged.has_value());
+    return;
+  }
+  if (!merged.has_value()) {
+    EXPECT_NE(FrameCursor(EncodeViewFrame(decoded->view, 0)).header().widths,
+              FrameCursor(frame).header().widths);
+    return;
+  }
+  ViewResult want;
+  MergeDeltaView(decoded->view, delta, AggFn::kSum, want);
+  EXPECT_EQ(*merged, EncodeViewFrame(want, 5));
+}
+
 TEST_P(CorruptionFuzz, MutatedBuffersThrowTypedErrors) {
   Rng rng(7000 + static_cast<std::uint64_t>(GetParam()));
 
@@ -213,6 +246,22 @@ TEST_P(CorruptionFuzz, MutatedBuffersThrowTypedErrors) {
   view.rel = SortAndAggregate(wide, cols, AggFn::kMax);
   const ByteBuffer wide_frame = EncodeViewFrame(view, 2);
 
+  // A small delta view for the merge, in another sort order: three groups
+  // of `rel` again and two new ones, one of which widens column 0 of the
+  // narrow frame.
+  Relation delta_rows(3);
+  for (std::size_t r = 0; r < 3; ++r) delta_rows.AppendRow(rel, r);
+  delta_rows.Append(std::vector<Key>{150, 7, 2}, -4);
+  delta_rows.Append(std::vector<Key>{3, 49, 9}, 11);
+  const std::vector<int> delta_order = {2, 0, 1};
+  CubeResult delta;
+  delta.views[view.id] = {view.id, delta_order,
+                          SortAndAggregate(delta_rows, delta_order,
+                                           AggFn::kSum)};
+  for (const ByteBuffer* frame : {&narrow_frame, &wide_frame}) {
+    ExpectMergeMatchesDecodePath(*frame, delta);
+  }
+
   for (int trial = 0; trial < 60; ++trial) {
     try {
       ScheduleTree::Deserialize(Mutate(rng, tree_bytes));
@@ -225,10 +274,7 @@ TEST_P(CorruptionFuzz, MutatedBuffersThrowTypedErrors) {
     } catch (const SncubeError&) {
     }
     for (const ByteBuffer* frame : {&narrow_frame, &wide_frame}) {
-      try {
-        DecodeViewFrame(Mutate(rng, *frame));
-      } catch (const SncubeError&) {
-      }
+      ExpectMergeMatchesDecodePath(Mutate(rng, *frame), delta);
     }
     // Pure garbage through the raw wire primitives.
     ByteBuffer garbage;

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/status.h"
 #include "data/generator.h"
 #include "io/disk.h"
@@ -31,6 +32,7 @@
 #include "relation/aggregate.h"
 #include "relation/sort.h"
 #include "seqcube/seq_cube.h"
+#include "seqcube/view_frame.h"
 #include "seqcube/view_store.h"
 #include "serve/shard_set.h"
 
@@ -215,47 +217,140 @@ void CommitEpoch(const std::filesystem::path& dir, const Schema& schema,
   writer.Commit();
 }
 
+// `n` facts of three columns whose codes are below 2^bits.
+Relation CodeFacts(Rng& rng, std::size_t n, int bits) {
+  Relation rel(3);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<Key> row(3);
+    for (Key& k : row) {
+      k = static_cast<Key>(rng.Below(std::uint64_t{1} << bits));
+    }
+    rel.Append(row, static_cast<Measure>(rng.Below(1000)));
+  }
+  return rel;
+}
+
+// The first `n` rows of `rel` (their groups meet the base's), then the
+// first `wide` of them again with column `col` set to `code`.
+Relation WithCode(const Relation& rel, std::size_t n, std::size_t wide,
+                  int col, Key code) {
+  Relation out(rel.width());
+  for (std::size_t r = 0; r < n; ++r) out.AppendRow(rel, r);
+  for (std::size_t r = 0; r < wide; ++r) {
+    std::vector<Key> row(rel.RowKeys(r).begin(), rel.RowKeys(r).end());
+    row[static_cast<std::size_t>(col)] = code;
+    out.Append(row, rel.measure(r) + 1);
+  }
+  return out;
+}
+
 // The streamed refresh of a cube directory (what `sncube refresh` runs)
 // commits the next epoch with exactly the bytes of the whole-cube path, on
 // a full cube and on greedy partial cubes, and leaves the MANIFEST and that
-// epoch's files only.
+// epoch's files only. Besides the generated facts, the inputs cover every
+// way the packed merge meets a key layout: a delta whose codes widen a
+// narrow key (at most 64 bits) and stay narrow, widen it past 64 bits, or
+// widen a multiword key; a multiword key the delta does not widen; and an
+// empty base, whose views the delta's fill.
 TEST(DeltaMerge, StreamedStoreRefreshMatchesWholeCubePath) {
   const DatasetSpec spec = BaseSpec();
   const Schema schema = spec.MakeSchema();
   const Relation base_rel = GenerateSlice(spec, 1, 0);
-  const Relation delta = GenerateSlice(DeltaSpec(), 1, 0);
+  const Relation delta_rel = GenerateSlice(DeltaSpec(), 1, 0);
   const AnalyticEstimator est(schema, static_cast<double>(base_rel.size()));
+  Rng rng(23);
+  const Relation base20 = CodeFacts(rng, 300, 20);  // the top view: 60 bits
+  const Relation base22 = CodeFacts(rng, 300, 22);  // the top view: 66 bits
+  struct Case {
+    std::string what;
+    Relation base;
+    Relation delta;
+    bool narrow_before, narrow_after;  // the top view's key
+  };
+  const std::vector<Case> cases = {
+      {"generated", base_rel, delta_rel, true, true},
+      {"narrow widens", base_rel, WithCode(delta_rel, 90, 20, 1, 1000), true,
+       true},
+      {"narrow to multiword", base20,
+       WithCode(base20, 40, 20, 1, Key{1} << 31), true, false},
+      {"multiword widens", base22, WithCode(base22, 40, 20, 2, Key{1} << 30),
+       false, false},
+      {"multiword", base22, WithCode(base22, 40, 20, 0, 5), false, false},
+      {"empty base", Relation(3), delta_rel, true, true},
+  };
+  const ViewId top = ViewId::FromDims({0, 1, 2});
+  const auto top_narrow = [&](const ViewStore& store) {
+    for (const ViewEntry& entry : store.LoadManifest().views) {
+      if (entry.id == top) {
+        return FrameCursor(store.ReadFrame(entry)).layout().narrow();
+      }
+    }
+    ADD_FAILURE() << "no top view";
+    return false;
+  };
   const auto dir = FreshDir("streamed");
-  for (const int count : {8, 1, 3, 5}) {
-    const std::vector<ViewId> selected =
-        count == 8 ? AllViews(3) : GreedySelectViews(3, count, est);
-    const CubeResult cube = SequentialCube(base_rel, schema, selected);
-    const std::string what = std::to_string(count) + " views";
-    std::filesystem::remove_all(dir);
-    const ViewStore streamed(dir / "streamed");
-    const ViewStore whole(dir / "whole");
-    streamed.SaveCube(cube, schema);
-    whole.SaveCube(cube, schema);
+  for (const Case& c : cases) {
+    for (const int count : {8, 1, 3, 5}) {
+      const std::vector<ViewId> selected =
+          count == 8 ? AllViews(3) : GreedySelectViews(3, count, est);
+      const CubeResult cube = SequentialCube(c.base, schema, selected);
+      const Relation& delta = c.delta;
+      const std::string what = c.what + ", " + std::to_string(count) + " views";
+      std::filesystem::remove_all(dir);
+      const ViewStore streamed(dir / "streamed");
+      const ViewStore whole(dir / "whole");
+      streamed.SaveCube(cube, schema);
+      whole.SaveCube(cube, schema);
 
-    const StoreRefreshResult result =
-        RefreshViewStore(streamed, streamed.LoadManifest(), delta);
+      const bool full = count == 8;
+      if (full) {
+        EXPECT_EQ(top_narrow(streamed), c.narrow_before) << what;
+      }
+      const StoreRefreshResult result =
+          RefreshViewStore(streamed, streamed.LoadManifest(), delta);
+      if (full) {
+        EXPECT_EQ(top_narrow(streamed), c.narrow_after) << what;
+      }
 
-    const CubeResult base = whole.LoadCube();
-    const CubeResult merged = MergeDeltaCube(
-        base, ComputeDeltaCube(delta, schema, AffectedViews(base, delta)));
-    CommitEpoch(whole.dir(), schema, 1, merged);
-    whole.RemoveEpochsBelow(1);
+      const CubeResult base = whole.LoadCube();
+      const CubeResult merged = MergeDeltaCube(
+          base, ComputeDeltaCube(delta, schema, AffectedViews(base, delta)));
+      CommitEpoch(whole.dir(), schema, 1, merged);
+      whole.RemoveEpochsBelow(1);
 
-    EXPECT_EQ(DirBytes(dir / "streamed"), DirBytes(dir / "whole")) << what;
-    // The MANIFEST and epoch 1's one segment (a small cube).
-    EXPECT_EQ(DirBytes(dir / "streamed").size(), 2u) << what;
-    EXPECT_EQ(streamed.LoadManifest().views, whole.LoadManifest().views)
-        << what;
-    EXPECT_EQ(result.epoch, 1u) << what;
-    EXPECT_EQ(result.views_refreshed, IndexOf(merged).size()) << what;
-    EXPECT_EQ(result.merged_rows, merged.TotalRows()) << what;
+      EXPECT_EQ(DirBytes(dir / "streamed"), DirBytes(dir / "whole")) << what;
+      // The MANIFEST and epoch 1's one segment (a small cube).
+      EXPECT_EQ(DirBytes(dir / "streamed").size(), 2u) << what;
+      EXPECT_EQ(streamed.LoadManifest().views, whole.LoadManifest().views)
+          << what;
+      EXPECT_EQ(result.epoch, 1u) << what;
+      EXPECT_EQ(result.views_refreshed, IndexOf(merged).size()) << what;
+      EXPECT_EQ(result.merged_rows, merged.TotalRows()) << what;
+    }
   }
   std::filesystem::remove_all(dir);
+}
+
+// A frame whose recorded widths exceed its columns' decodes, but no writer
+// makes one, and the packed merge, which keeps the base's widths, could not
+// write the bytes of the decoded path: it refuses the frame.
+TEST(DeltaMerge, MergeDeltaFrameRefusesWidthsNoWriterRecords) {
+  const DatasetSpec spec = BaseSpec();
+  const Schema schema = spec.MakeSchema();
+  const CubeResult base =
+      SequentialCube(GenerateSlice(spec, 1, 0), schema, AllViews(3));
+  const CubeResult delta = ComputeDeltaCube(GenerateSlice(DeltaSpec(), 1, 0),
+                                            schema, AllViews(3));
+  const ViewResult& top = base.views.at(ViewId::FromDims({0, 1, 2}));
+  ByteBuffer frame = EncodeViewFrame(top, 0);
+  ViewResult want;
+  MergeDeltaView(top, delta, AggFn::kSum, want);
+  EXPECT_EQ(MergeDeltaFrame(frame, delta, 1), EncodeViewFrame(want, 1));
+  // One more bit for the most significant column (the header's widths
+  // start at byte 25 for three dimensions): every key keeps its value.
+  frame[25] = static_cast<std::byte>(std::to_integer<int>(frame[25]) + 1);
+  EXPECT_TRUE(DecodeViewFrame(frame).view.rel == top.rel);
+  EXPECT_THROW(MergeDeltaFrame(frame, delta, 1), SncubeCorruptionError);
 }
 
 // An empty delta commits nothing: on a full cube and on greedy partial

@@ -37,6 +37,10 @@
    build's epoch and after a refresh: the MANIFEST and every view file keep
    their bytes and names, it prints the committed epoch, and the answers
    stay.
+11. A `refresh` whose delta holds codes beyond the cardinalities the build
+   inferred (up to 2^32-1, which `build` refuses) widens the stored keys:
+   the answers are the sums over the facts and the delta, and `info` still
+   prints the build's cardinalities.
 """
 
 import argparse
@@ -216,6 +220,26 @@ def check_empty_delta(binary, tmp):
                                      n for n in before
                                      if before[n] != after[n]))
         check_answers(binary, cube, rows, f"empty refresh at epoch {epoch}")
+
+
+def check_codes_beyond_cardinalities(binary, tmp):
+    cube = tmp / "cube_wide_delta"
+    out = run(binary, "build", "--in", tmp / "facts.csv", "--out", cube)
+    if out.returncode != 0:
+        raise AssertionError(f"build failed: {out.stderr}")
+    info = run(binary, "info", "--cube", cube).stdout.splitlines()[0]
+    wide = [(9, 7, 5), (2**32 - 1, 5, 7), (1, 2**32 - 1, 11),
+            (0, 70000, 13), (1, 9, 17)]
+    write_csv(tmp / "wide_delta.csv", wide)
+    out = run(binary, "refresh", "--cube", cube, "--delta",
+              tmp / "wide_delta.csv")
+    if out.returncode != 0:
+        raise AssertionError(f"refresh with wide codes failed: {out.stderr}")
+    check_answers(binary, cube, FACTS + wide, "refresh with wide codes")
+    after = run(binary, "info", "--cube", cube).stdout.splitlines()[0]
+    if after != info:
+        raise AssertionError(f"info printed {after!r} after the refresh, "
+                             f"{info!r} before")
 
 
 def check_query_flags(binary, cube):
@@ -502,6 +526,7 @@ def main():
         check_parallel_builds_identical(binary, tmp)
         check_two_refreshes(binary, tmp)
         check_empty_delta(binary, tmp)
+        check_codes_beyond_cardinalities(binary, tmp)
         check_query_flags(binary, tmp / "cube_crlf")
         check_usage_errors(binary, tmp, tmp / "cube_crlf")
         check_flipped_byte_refused(binary, tmp)
