@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the sequential kernels: relation
 // sort, pipelined multi-view aggregation vs naive per-view sorting, external
-// sort spill, Hungarian matching, schedule-tree construction, and the view
-// frame codec with the refresh's packed merge — plus a
-// wall-clock sweep of the exec runtime's ParallelSort against the serial
-// sort (1/2/4/8 threads, three record widths), written to BENCH_exec.json.
+// sort spill, Hungarian matching, schedule-tree construction, the view
+// frame codec with the refresh's packed merge, and the query engine on each
+// of its paths — plus, when no --benchmark_filter is given, a wall-clock
+// sweep of the exec runtime's ParallelSort against the serial sort
+// (1/2/4/8 threads, three record widths), written to BENCH_exec.json.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -19,6 +20,7 @@
 #include "exec/task_pool.h"
 #include "io/external_sort.h"
 #include "lattice/lattice.h"
+#include "query/engine.h"
 #include "refresh/delta.h"
 #include "relation/aggregate.h"
 #include "relation/serialize.h"
@@ -202,6 +204,79 @@ void BM_FrameMergeDelta(benchmark::State& state) {
 BENCHMARK(BM_FrameMergeDelta);
 
 // ---------------------------------------------------------------------------
+// The query engine, one cache miss per iteration, on a serve_refresh-shaped
+// cube (100k facts, cards 256,128,64,32,16,8). The queries were picked from
+// the stored orders of seed 7's cube, one per path of Execute:
+//   0 stored order: GROUP BY all six dimensions, the top view (order 0..5);
+//     one gathering pass.
+//   1 out of order: GROUP BY D0,D3,D4,D5, a view stored in order 0,3,5,4;
+//     one radix sort of the view.
+//   2 filtered: GROUP BY D0,D2,D3,D4 WHERE D5 = v from the view stored in
+//     order 0,4,3,2,5; the kept rows are gathered, then sorted.
+//   3 ancestor: GROUP BY D0,D1 on a partial cube that holds only the top
+//     view; rows arrive grouped and are aggregated.
+// Items are the routed view's rows (rows_scanned).
+
+struct QueryFixture {
+  CubeResult full;
+  CubeResult partial;
+  Key filter_value = 0;
+
+  QueryFixture() {
+    DatasetSpec spec;
+    spec.rows = 100000;
+    spec.cardinalities = {256, 128, 64, 32, 16, 8};
+    spec.seed = 7;
+    const Schema schema = spec.MakeSchema();
+    const Relation facts = GenerateDataset(spec);
+    full = SequentialCube(facts, schema, AllViews(6));
+    const ViewId top = ViewId::Full(6);
+    partial = SequentialCube(facts, schema, {top});
+    filter_value = full.views.at(top).rel.key(0, 5);
+  }
+};
+
+const QueryFixture& Queries() {
+  static const QueryFixture fixture;
+  return fixture;
+}
+
+void BM_QueryExecute(benchmark::State& state) {
+  const QueryFixture& f = Queries();
+  Query q;
+  const CubeResult* cube = &f.full;
+  switch (state.range(0)) {
+    case 0:
+      state.SetLabel("stored order");
+      q.group_by = ViewId::Full(6);
+      break;
+    case 1:
+      state.SetLabel("out of order");
+      q.group_by = ViewId::FromDims({0, 3, 4, 5});
+      break;
+    case 2:
+      state.SetLabel("filtered");
+      q.group_by = ViewId::FromDims({0, 2, 3, 4});
+      q.filters = {{.dim = 5, .value = f.filter_value}};
+      break;
+    default:
+      state.SetLabel("ancestor");
+      q.group_by = ViewId::FromDims({0, 1});
+      cube = &f.partial;
+      break;
+  }
+  const CubeQueryEngine engine(*cube);
+  std::uint64_t scanned = 0;
+  for (auto _ : state) {
+    const QueryAnswer answer = engine.Execute(q);
+    scanned += answer.rows_scanned;
+    benchmark::DoNotOptimize(answer.rel);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(scanned));
+}
+BENCHMARK(BM_QueryExecute)->DenseRange(0, 3);
+
+// ---------------------------------------------------------------------------
 // exec runtime: serial sort vs ParallelSort, wall clock.
 //
 // Distinct from the sim-clock accounting the figure benches report: this is
@@ -280,7 +355,9 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
+  // A filtered run times the benchmarks it selects and nothing else.
+  const bool filtered = !benchmark::GetBenchmarkFilter().empty();
   benchmark::Shutdown();
-  sncube::RunExecSortSweep();
+  if (!filtered) sncube::RunExecSortSweep();
   return 0;
 }

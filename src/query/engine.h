@@ -87,6 +87,11 @@ class CubeQueryEngine {
   // cube's selected views.
   ViewId Route(const Query& query) const;
 
+  // Answers `query` from the routed view's stored sort order (DESIGN.md
+  // "How a query is answered"): one pass gathers the kept rows when the
+  // group-by leads that order once the filtered dimensions are dropped, one
+  // radix sort orders them otherwise, and rows are aggregated only when the
+  // view has a dimension neither grouped nor filtered.
   QueryAnswer Execute(const Query& query) const;
 
  private:

@@ -52,6 +52,13 @@ class Relation {
     measures_.resize(rows);
   }
 
+  // Releases storage beyond size(): a relation sized for more rows than it
+  // kept and then cut down with Resize holds only its rows again.
+  void ShrinkToFit() {
+    keys_.shrink_to_fit();
+    measures_.shrink_to_fit();
+  }
+
   // Overwrites rows [first, first + rows.size()) with rows `rows` of `src`
   // (same width). Calls on disjoint ranges may run concurrently.
   void GatherRows(const Relation& src, std::span<const std::uint32_t> rows,

@@ -7,12 +7,15 @@
 #include <optional>
 #include <string>
 
+#include "common/rng.h"
 #include "data/generator.h"
 #include "lattice/lattice.h"
 #include "query/engine.h"
 #include "query/greedy_select.h"
+#include "relation/aggregate.h"
 #include "seqcube/seq_cube.h"
 #include "seqcube/view_store.h"
+#include "serve/shard_set.h"
 
 namespace sncube {
 namespace {
@@ -204,6 +207,136 @@ TEST_F(QueryFixture, TopKLargerThanGroupsReturnsAll) {
   q.group_by = ViewId::FromDims({3});  // 3 distinct values
   q.top_k = 100;
   EXPECT_EQ(engine.Execute(q).rel.size(), 3u);
+}
+
+// Execute answers from the routed view's stored order: it gathers the kept
+// rows when the group-by leads the order without the filtered dimensions,
+// sorts them otherwise, and aggregates only when the view has a dimension
+// neither grouped nor filtered. Over randomized queries on a full cube and
+// two partial ones, for sum, min and max, every answer must equal a
+// brute-force reference (filter the facts, project them, SortAndAggregate,
+// top-k), and the fold of the answers pinned to the same view on every
+// serving slice must equal it too, as the router assumes.
+TEST(QueryProperty, ExecuteMatchesBruteForceOnEveryPath) {
+  DatasetSpec spec;
+  spec.rows = 3000;
+  spec.cardinalities = {12, 6, 4, 3, 2};
+  spec.seed = 41;
+  const int d = static_cast<int>(spec.cardinalities.size());
+  const Schema schema = spec.MakeSchema();
+  Relation facts = GenerateDataset(spec);
+  Rng rng(2024);
+  for (std::size_t r = 0; r < facts.size(); ++r) {
+    facts.measure(r) = static_cast<Measure>(rng.Below(2001)) - 1000;
+  }
+  const AnalyticEstimator est(schema, static_cast<double>(facts.size()));
+  const std::vector<std::vector<ViewId>> selections{
+      AllViews(d), GreedySelectViews(d, 4, est), GreedySelectViews(d, 9, est)};
+
+  // Paths taken, judged from each routed view's stored order.
+  int in_stored_order = 0;
+  int out_of_order = 0;
+  int filter_in_front = 0;
+  int rows_repeat = 0;
+  // Query shapes the paths must stay right on.
+  int grouped_filter = 0;
+  int twice_filtered = 0;
+  int keeps_nothing = 0;
+  int empty_group_by = 0;
+  int top_k = 0;
+
+  for (const auto& selected : selections) {
+    for (const AggFn fn : {AggFn::kSum, AggFn::kMin, AggFn::kMax}) {
+      const CubeResult cube = SequentialCube(facts, schema, selected, fn);
+      const CubeQueryEngine engine(cube);
+      const std::vector<CubeResult> slices = PartitionCubeForServing(cube, 3);
+      for (int i = 0; i < 120; ++i) {
+        Query q;
+        q.fn = fn;
+        q.group_by = ViewId(static_cast<std::uint32_t>(rng.Below(1u << d)));
+        const int n_filters = static_cast<int>(rng.Below(3));
+        for (int f = 0; f < n_filters; ++f) {
+          const int dim = static_cast<int>(rng.Below(d));
+          // Mostly a value some fact holds; sometimes one no fact holds.
+          const Key value =
+              rng.Below(5) == 0
+                  ? spec.cardinalities[static_cast<std::size_t>(dim)] + 1
+                  : facts.key(rng.Below(facts.size()), dim);
+          q.filters.push_back({.dim = dim, .value = value});
+        }
+        const int ks[] = {0, 0, 0, 1, 3, 1000};
+        q.top_k = ks[rng.Below(6)];
+
+        Relation kept(facts.width());
+        for (std::size_t r = 0; r < facts.size(); ++r) {
+          if (std::all_of(q.filters.begin(), q.filters.end(),
+                          [&](const DimFilter& f) {
+                            return facts.key(r, f.dim) == f.value;
+                          })) {
+            kept.AppendRow(facts, r);
+          }
+        }
+        const std::vector<int> group_dims = q.group_by.DimList();
+        const Relation all = SortAndAggregate(kept, group_dims, fn);
+        const Relation want = TopKByMeasure(all, q.top_k);
+
+        const QueryAnswer got = engine.Execute(q);
+        const ViewId view = got.answered_from;
+        const std::string what = "view mask " + std::to_string(view.mask()) +
+                                 ", group-by mask " +
+                                 std::to_string(q.group_by.mask()) + ", " +
+                                 std::to_string(n_filters) + " filters";
+        ASSERT_EQ(view, engine.Route(q)) << what;
+        ASSERT_EQ(got.rows_scanned, cube.views.at(view).rel.size()) << what;
+        ASSERT_EQ(got.rel, want) << what;
+
+        Query sub = q;
+        sub.from_view = view;
+        sub.top_k = 0;
+        Relation folded;
+        for (std::size_t sl = 0; sl < slices.size(); ++sl) {
+          const QueryAnswer part = CubeQueryEngine(slices[sl]).Execute(sub);
+          ASSERT_EQ(part.answered_from, view) << what;
+          folded = sl == 0 ? part.rel
+                           : MergeSortedAggregate(folded, part.rel, fn);
+        }
+        ASSERT_EQ(TopKByMeasure(std::move(folded), q.top_k), want) << what;
+
+        ViewId filtered;
+        for (const auto& f : q.filters) {
+          twice_filtered += filtered.Contains(f.dim);
+          filtered = filtered.With(f.dim);
+          grouped_filter += q.group_by.Contains(f.dim);
+        }
+        const std::vector<int>& order = cube.views.at(view).order;
+        std::vector<int> reduced;
+        for (const int dim : order) {
+          if (!filtered.Contains(dim)) reduced.push_back(dim);
+        }
+        const auto leads = [&](const std::vector<int>& dims) {
+          return group_dims.size() <= dims.size() &&
+                 std::equal(group_dims.begin(), group_dims.end(),
+                            dims.begin());
+        };
+        in_stored_order += leads(order);
+        out_of_order += !leads(reduced);
+        filter_in_front += leads(reduced) && !leads(order);
+        rows_repeat += !view.IsSubsetOf(q.group_by.Union(filtered));
+        keeps_nothing += kept.empty();
+        empty_group_by += q.group_by.empty();
+        top_k += want.size() < all.size();
+      }
+    }
+  }
+  EXPECT_GT(in_stored_order, 0);
+  EXPECT_GT(out_of_order, 0);
+  EXPECT_GT(filter_in_front, 0);
+  EXPECT_GT(rows_repeat, 0);
+  EXPECT_GT(grouped_filter, 0);
+  EXPECT_GT(twice_filtered, 0);
+  EXPECT_GT(keeps_nothing, 0);
+  EXPECT_GT(empty_group_by, 0);
+  EXPECT_GT(top_k, 0);
 }
 
 TEST(GreedySelect, AlwaysIncludesFullView) {
