@@ -16,9 +16,8 @@ namespace {
 // Canonical pipeline order for breakdown tables; families not listed here
 // (none today) sort alphabetically after these.
 int FamilyOrder(const std::string& family) {
-  static constexpr const char* kOrder[] = {"default",  "restore", "partition",
-                                           "schedule", "compute", "merge",
-                                           "checkpoint"};
+  static constexpr const char* kOrder[] = {"default",  "partition",
+                                           "schedule", "compute", "merge"};
   for (int i = 0; i < static_cast<int>(std::size(kOrder)); ++i) {
     if (family == kOrder[i]) return i;
   }

@@ -1,14 +1,16 @@
 #include "chaos/explorer.h"
 
 #include <algorithm>
-#include <mutex>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "common/status.h"
 #include "core/parallel_cube.h"
+#include "core/partition_writer.h"
 #include "data/generator.h"
 #include "lattice/lattice.h"
 #include "net/cluster.h"
-#include "relation/serialize.h"
 
 namespace sncube {
 namespace chaos {
@@ -16,22 +18,18 @@ namespace {
 
 // Build attempts per trial: the first under the full plan, then one per
 // StripForAttempt step.
-constexpr int kMaxAttempts = 4;
+constexpr int kMaxAttempts = 3;
 
-// Restart policy: each retry strips the next fault family from the plan —
-// kills first, then transient disk errors, then silent corruption — the way
-// an operator retries a failed job on progressively healthier hardware. The
-// invariant under test is integrity (a completed build is byte-identical),
-// not survival of arbitrarily repeated faults, so bounded attempts must
-// reach completion on any plan.
+// Restart policy: each resume strips the next fault family from the plan —
+// kills first, then transient disk errors — the way an operator retries a
+// failed job on progressively healthier hardware. The invariant under test
+// is integrity (a completed build is byte-identical), not survival of
+// arbitrarily repeated faults, so bounded attempts must reach completion on
+// any plan.
 FaultPlan StripForAttempt(const FaultPlan& plan, int attempt) {
   FaultPlan p = plan;
   if (attempt >= 1) p.kills.clear();
   if (attempt >= 2) p.disk_errors.clear();
-  if (attempt >= 3) {
-    p.bit_flips.clear();
-    p.torn_writes.clear();
-  }
   return p;
 }
 
@@ -51,12 +49,6 @@ FaultPlan RandomPlan(Rng& rng, int procs) {
       if (rng.NextDouble() < 0.3) {
         plan.disk_errors.push_back({r, 0.3 * rng.NextDouble()});
       }
-      if (rng.NextDouble() < 0.3) {
-        plan.bit_flips.push_back({r, rng.NextDouble()});
-      }
-      if (rng.NextDouble() < 0.3) {
-        plan.torn_writes.push_back({r, rng.NextDouble()});
-      }
     }
   } while (plan.empty());
   plan.seed = rng.Next();
@@ -65,48 +57,46 @@ FaultPlan RandomPlan(Rng& rng, int procs) {
 
 ChaosTrial::ChaosTrial(const ChaosOptions& opts, int procs)
     : opts_(opts), procs_(procs), scratch_(opts.scratch_dir) {
-  // Fault-free golden build, no checkpointing: the byte-level ground truth
-  // every trial's completed cube is compared against.
-  const Verdict abort_reason = BuildOnce(FaultPlan{}, "", &golden_);
-  SNCUBE_CHECK(!abort_reason.has_value());
+  // Fault-free golden build: the byte-level ground truth every trial's
+  // completed directory is compared against.
+  const std::string dir = scratch_.NextDir();
+  SNCUBE_CHECK(!BuildOnce(FaultPlan{}, dir, /*resume=*/false).has_value());
+  golden_ = ReadDir(dir);
+  ScratchRoot::Remove(dir);
 }
 
-Verdict ChaosTrial::BuildOnce(const FaultPlan& plan,
-                              const std::string& ckpt_dir, ShardBytes* out) {
+Verdict ChaosTrial::BuildOnce(const FaultPlan& plan, const std::string& dir,
+                              bool resume) {
   const DatasetSpec spec = TrialDataset(opts_);
   const Schema schema = spec.MakeSchema();
-  const int d = schema.dims();
+  const std::vector<ViewId> selected = AllViews(schema.dims());
 
   Cluster cluster(procs_);
   if (!plan.empty()) cluster.set_fault_plan(plan);
-  ShardBytes shards(static_cast<std::size_t>(procs_));
-  std::mutex mu;
+  PartitionWriter writer(ViewStore(dir), schema, selected, procs_, resume);
+  ParallelCubeOptions build_opts;
+  writer.Attach(build_opts);
   try {
     cluster.Run([&](Comm& comm) {
       const Relation raw = GenerateSlice(spec, procs_, comm.rank());
-      ParallelCubeOptions build_opts;
-      build_opts.checkpoint.dir = ckpt_dir;
-      build_opts.checkpoint.verify_restore = opts_.verify_restore;
-      CubeResult cube =
-          BuildParallelCube(comm, raw, schema, AllViews(d), build_opts);
-      std::vector<std::pair<std::uint32_t, std::string>> mine;
-      mine.reserve(cube.views.size());
-      for (const auto& [id, vr] : cube.views) {
-        const ByteBuffer bytes = SerializeRelation(vr.rel);
-        mine.emplace_back(
-            id.mask(),
-            std::string(reinterpret_cast<const char*>(bytes.data()),
-                        bytes.size()));
-      }
-      std::sort(mine.begin(), mine.end());
-      std::lock_guard<std::mutex> lock(mu);
-      shards[static_cast<std::size_t>(comm.rank())] = std::move(mine);
+      BuildParallelCube(comm, raw, schema, selected, build_opts);
     });
   } catch (const ClusterAbortedError& e) {
+    writer.Abandon();
     return std::string(e.what());
   }
-  *out = std::move(shards);
+  writer.Commit();
   return std::nullopt;
+}
+
+ChaosTrial::DirBytes ChaosTrial::ReadDir(const std::string& dir) {
+  DirBytes files;
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(file.path(), std::ios::binary);
+    files[file.path().filename().string()] = std::string(
+        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return files;
 }
 
 Verdict ChaosTrial::Check(const FaultPlan& plan) {
@@ -115,32 +105,22 @@ Verdict ChaosTrial::Check(const FaultPlan& plan) {
   Verdict verdict = "did not complete within " +
                     std::to_string(kMaxAttempts) + " attempts";
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    ShardBytes got;
     const Verdict abort_reason =
-        BuildOnce(StripForAttempt(plan, attempt), dir, &got);
+        BuildOnce(StripForAttempt(plan, attempt), dir, attempt > 0);
     if (abort_reason.has_value()) {
       last_abort = *abort_reason;
       continue;
     }
     // The build completed: the integrity invariant is judged right here —
-    // its cube must equal the fault-free golden, byte for byte.
+    // its directory must equal the fault-free golden, byte for byte.
+    const DirBytes got = ReadDir(dir);
+    const auto [ours, golden] = std::mismatch(got.begin(), got.end(),
+                                              golden_.begin(), golden_.end());
     verdict = std::nullopt;
-    for (std::size_t r = 0; r < golden_.size() && !verdict; ++r) {
-      if (got[r].size() != golden_[r].size()) {
-        verdict = "rank " + std::to_string(r) + " built " +
-                  std::to_string(got[r].size()) + " views, golden has " +
-                  std::to_string(golden_[r].size());
-        break;
-      }
-      for (std::size_t v = 0; v < golden_[r].size(); ++v) {
-        if (got[r][v] != golden_[r][v]) {
-          verdict = "rank " + std::to_string(r) + " view mask " +
-                    std::to_string(golden_[r][v].first) +
-                    " differs from the fault-free build (attempt " +
-                    std::to_string(attempt) + ")";
-          break;
-        }
-      }
+    if (ours != got.end() || golden != golden_.end()) {
+      verdict = (golden != golden_.end() ? golden->first : ours->first) +
+                " differs from the fault-free build's (attempt " +
+                std::to_string(attempt) + ")";
     }
     break;
   }

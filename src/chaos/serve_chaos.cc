@@ -14,7 +14,7 @@ ShardSetOptions TrialShardSetOptions(int shards, ServeClock& clock) {
   ShardSetOptions sopts;
   sopts.shards = shards;
   sopts.clock = &clock;
-  sopts.server.workers = 2;
+  sopts.server.workers = kTrialWorkers;
   sopts.server.deadline = std::chrono::microseconds(0);
   return sopts;
 }

@@ -46,16 +46,20 @@ struct ServingSearchOptions : SearchOptions {
 };
 
 struct ServeChaosOptions : ServingSearchOptions {
-  // TEST-ONLY escape hatch (cf. ChaosOptions::verify_restore): false stops
-  // the router from pinning one view across a scatter (RouterOptions::
-  // pin_scatter_view), re-opening the mixed-view wrong-answer bug so tests
-  // can demonstrate this harness catching and shrinking a real corruption.
+  // TEST-ONLY escape hatch: false stops the router from pinning one view
+  // across a scatter (RouterOptions::pin_scatter_view), re-opening the
+  // mixed-view wrong-answer bug so tests can demonstrate this harness
+  // catching and shrinking a real corruption.
   bool pin_scatter_view = true;
 };
 
-// The shard set both serving trials run: `shards` shards of two workers on
-// `clock`. Shard-side wall-clock deadlines are the one nondeterministic
-// knob, so they are off: every trajectory is a pure function of the plan.
+// The worker threads of each server of a trial's shard set.
+constexpr int kTrialWorkers = 2;
+
+// The shard set both serving trials run: `shards` shards of kTrialWorkers
+// workers on `clock`. Shard-side wall-clock deadlines are the one
+// nondeterministic knob, so they are off: every trajectory is a pure
+// function of the plan.
 ShardSetOptions TrialShardSetOptions(int shards, ServeClock& clock);
 
 // The router policies both serving trials run under.

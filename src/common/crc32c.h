@@ -1,7 +1,7 @@
 // CRC32C (Castagnoli) and the self-verifying frame trailer.
 //
 // Every byte run this system persists or transmits — wire frames between
-// ranks, checkpoint view shards, manifest lines, external-sort runs — is
+// ranks, view frames, MANIFEST lines, external-sort runs — is
 // covered by a CRC32C so that silent corruption (bit flips, torn writes
 // that still deserialize) is *detected* rather than aggregated into a wrong
 // cube. CRC32C is the storage-engine standard (iSCSI, ext4, Btrfs,

@@ -5,7 +5,7 @@
 // builds. All throwing sites funnel through SncubeError so callers can catch
 // a single type at the API boundary; the subclasses below form the failure
 // taxonomy (see DESIGN.md "Failure model") so callers that need to can react
-// per failure class — retry transients, restart from checkpoint on aborts,
+// per failure class — retry transients, resume a build on aborts,
 // reject corrupt inputs.
 #pragma once
 
@@ -23,7 +23,7 @@ class SncubeError : public std::runtime_error {
 };
 
 // Malformed, truncated, or otherwise untrustworthy serialized data: wire
-// buffers, view files, checkpoint files. Never retryable — the bytes are
+// buffers, view files, MANIFEST lines. Never retryable — the bytes are
 // wrong, not the medium.
 class SncubeCorruptionError : public SncubeError {
  public:
@@ -38,9 +38,9 @@ class SncubeIoError : public SncubeError {
   explicit SncubeIoError(const std::string& what) : SncubeError(what) {}
 };
 
-// A disk operation failed transiently; callers may retry (the checkpoint
-// layer does, under capped exponential backoff, before escalating to a
-// SncubeIoError, which in turn becomes a rank failure).
+// A disk operation failed transiently; callers may retry (the view store
+// does, a few times, before escalating to a SncubeIoError, which inside a
+// cluster run becomes a rank failure).
 class SncubeTransientIoError : public SncubeIoError {
  public:
   explicit SncubeTransientIoError(const std::string& what)

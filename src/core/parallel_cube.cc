@@ -85,31 +85,12 @@ CubeResult BuildParallelCube(Comm& comm, const Relation& local_raw,
 
   // Procedure 1 as a span tree: "build" covers the whole call; each
   // non-empty Di-partition gets a "dimension/i" child whose own children
-  // mirror the SetPhase sequence (partition → schedule → compute → merge
-  // [→ checkpoint]). DESIGN.md §10 maps paper figures onto these names.
+  // mirror the SetPhase sequence (partition → schedule → compute → merge).
+  // DESIGN.md §10 maps paper figures onto these names.
   SNCUBE_TRACE_SPAN("build");
 
   comm.SetPhase("partition");
   const std::uint64_t global_rows = comm.AllReduceSum(local_raw.size());
-
-  // Checkpoint/restart: agree cluster-wide on the resume point — the last
-  // partition index that EVERY rank recorded complete. A rank that died
-  // mid-partition (or a fresh directory) pulls the minimum down, forcing
-  // that partition to be recomputed everywhere, so all ranks execute the
-  // identical collective sequence after this point.
-  CheckpointManager ckpt(opts.checkpoint, comm.rank());
-  int resume_before = -1;
-  if (ckpt.enabled()) {
-    comm.SetPhase("checkpoint/restore");
-    // Verified resume point: a manifest-named shard that fails its checksum
-    // is quarantined and treated like a missing one, pulling this rank's
-    // offer — and via the min-agreement the whole cluster — back to the last
-    // partition everyone can actually restore.
-    resume_before =
-        static_cast<int>(comm.AllReduceMin(
-            static_cast<std::uint64_t>(ckpt.LastVerifiedPartition(comm) + 1))) -
-        1;
-  }
 
   CubeResult output;
   const auto partitions = PartitionViews(selected, d);
@@ -117,21 +98,13 @@ CubeResult BuildParallelCube(Comm& comm, const Relation& local_raw,
     const auto& part = partitions[i];
     if (part.empty()) continue;
     if (stats != nullptr) stats->partitions += 1;
+    if (opts.skip_partitions.count(i) != 0) {
+      if (stats != nullptr) stats->partitions_skipped += 1;
+      continue;
+    }
 
     SNCUBE_TRACE_SPAN_IDX("dimension", i);
     obs::PhaseSpan step;
-
-    if (i <= resume_before) {
-      // This partition was completed by every rank in a previous run:
-      // restore the merged shards from this rank's checkpoint instead of
-      // recomputing. The restored rows are byte-for-byte what the compute
-      // path produced, so the final CubeResult is identical either way.
-      comm.SetPhase("checkpoint/restore");
-      step.Switch("restore", i);
-      ckpt.LoadPartition(comm, i, &output);
-      if (stats != nullptr) stats->partitions_restored += 1;
-      continue;
-    }
 
     const ViewId root = PartitionRoot(part);
     const std::vector<int> root_order = root.DimList();
@@ -209,12 +182,10 @@ CubeResult BuildParallelCube(Comm& comm, const Relation& local_raw,
     MergePartitions(comm, cube, root_order, merge_opts, &merge_stats);
     if (stats != nullptr) stats->merge += merge_stats;
 
-    if (ckpt.enabled()) {
-      comm.SetPhase("checkpoint" + tag);
-      step.Switch("checkpoint", i);
-      ckpt.SavePartition(comm, i, cube);
+    if (opts.partition_sink) {
+      opts.partition_sink(i, comm.rank(), std::move(cube));
+      continue;
     }
-
     for (auto& [id, vr] : cube.views) {
       output.views[id] = std::move(vr);
     }

@@ -15,9 +15,10 @@
 // selected views and options.
 #pragma once
 
+#include <functional>
+#include <set>
 #include <vector>
 
-#include "core/checkpoint.h"
 #include "core/merge_partitions.h"
 #include "net/comm.h"
 #include "relation/schema.h"
@@ -37,6 +38,12 @@ enum class EstimatorKind {
   kFm,        // Flajolet–Martin sketches over the builder's local Di-root
 };
 
+// Receives rank `rank`'s merged shard of Di-partition `partition` once
+// Merge–Partitions has finished it; the shard is the sink's to keep or
+// drop. Called on every rank's thread.
+using PartitionSink =
+    std::function<void(int partition, int rank, CubeResult part)>;
+
 struct ParallelCubeOptions {
   AggFn fn = AggFn::kSum;
   // γ for the data-partitioning sample sort of Step 1b (paper: 1%).
@@ -48,24 +55,29 @@ struct ParallelCubeOptions {
   PartialStrategy partial_strategy = PartialStrategy::kPrunedPipesort;
   int sample_capacity_factor = 100;
   bool force_case3 = false;  // ablation: disable the Case-2 overlap path
-  // Checkpoint/restart (see core/checkpoint.h). When `checkpoint.dir` is
-  // set, every rank persists its merged shards after each completed
-  // Di-partition, and a rerun with the same directory resumes from the last
-  // partition completed by ALL ranks. Must be identical across ranks.
-  CheckpointOptions checkpoint;
+  // When set, each partition's merged shard goes to the sink instead of the
+  // returned cube (core/partition_writer.h writes them into a cube
+  // directory). Host output: it adds no simulated charge.
+  PartitionSink partition_sink;
+  // Di-partitions to skip, unread: an earlier run's sink has them. Each
+  // partition is computed from the raw input alone, so no later partition
+  // needs a skipped one.
+  std::set<int> skip_partitions;
 };
 
 struct ParallelCubeStats {
   ExecStats exec;        // local cube-construction work
   MergeStats merge;      // Procedure 3 case counts
-  int partitions = 0;    // non-empty Di-partitions processed
-  int partitions_restored = 0;  // of those, restored from checkpoint
+  int partitions = 0;    // non-empty Di-partitions of the selected views
+  int partitions_skipped = 0;  // of those, skipped (skip_partitions)
   int sample_sort_shifts = 0;  // Step 1b global shifts triggered
 };
 
 // Builds the selected views (use AllViews(d) for the full cube) of the data
 // whose local slice is `local_raw`. Returns this rank's shard of every
-// selected view, canonical column layout, rows sorted by each view's order.
+// selected view, canonical column layout, rows sorted by each view's order;
+// with a partition sink, hands the shards to it and returns an empty cube.
+// Every rank must pass the same sink (or none) and skip set.
 CubeResult BuildParallelCube(Comm& comm, const Relation& local_raw,
                              const Schema& schema,
                              const std::vector<ViewId>& selected,

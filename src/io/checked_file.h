@@ -1,6 +1,6 @@
-// The checksummed file layer: the one sanctioned path through which core
-// code persists durable artifacts (checkpoint view shards, manifest lines)
-// to the real filesystem.
+// The checksummed file layer: the one sanctioned path through which code
+// persists durable artifacts (view frames, MANIFEST lines) to the real
+// filesystem.
 //
 // Every write is covered by a CRC32C — whole files get the 16-byte frame
 // trailer of common/crc32c.h, manifest lines get a textual " crc <8-hex>"

@@ -283,15 +283,6 @@ std::uint64_t Comm::AllReduceMax(std::uint64_t v) {
   return m;
 }
 
-std::uint64_t Comm::AllReduceMin(std::uint64_t v) {
-  ByteBuffer b;
-  WirePut(b, v);
-  auto all = AllGather(std::move(b));
-  std::uint64_t m = std::numeric_limits<std::uint64_t>::max();
-  for (auto& buf : all) m = std::min(m, WireReader(buf).Get<std::uint64_t>());
-  return m;
-}
-
 double Comm::AllReduceMax(double v) {
   ByteBuffer b;
   WirePut(b, v);

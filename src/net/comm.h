@@ -111,7 +111,6 @@ class Comm : public obs::SimClockSource {
 
   std::uint64_t AllReduceSum(std::uint64_t v);
   std::uint64_t AllReduceMax(std::uint64_t v);
-  std::uint64_t AllReduceMin(std::uint64_t v);
   double AllReduceMax(double v);
 
   void Barrier();

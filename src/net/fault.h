@@ -37,8 +37,9 @@
 //
 // Refresh clauses target the online-refresh coordinator (src/refresh). The
 // coordinator acts as rank 0 of its own injector, so bitflip/tornwrite
-// clauses for rank 0 corrupt its store's view file and MANIFEST writes
-// exactly like checkpoint frames:
+// clauses for rank 0 corrupt its store's segment and MANIFEST writes after
+// they are sealed. (In a build, bitflip/tornwrite strike only the sealed
+// external-sort runs a rank spills.)
 //
 //   refreshkill:<phase>       the refresh coordinator crashes (throws
 //                             InjectedFaultError) on entry to two-phase-swap

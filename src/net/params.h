@@ -35,11 +35,6 @@ struct CostParams {
   // Network: seconds per byte through one node's link. 100 Mbit Ethernet
   // ≈ 12.5 MB/s payload → 8e-8 s/B.
   double net_byte_s = 8.0e-8;
-  // CPU: seconds per byte checksummed (CRC32C, slice-by-8). ~1 byte/cycle
-  // on the 1.8 GHz Xeon → ~5.5e-10; rounded up for table-cache effects.
-  // Charged wherever durable artifacts are sealed or verified, so integrity
-  // overhead shows up honestly in the checkpoint phase tables.
-  double cpu_crc_byte_s = 1.0e-9;
 };
 
 // The paper's cluster: slow 100 Mb interconnect.

@@ -34,30 +34,6 @@ CubeResult ComputeDeltaCube(const Relation& delta, const Schema& schema,
   return SequentialCube(delta, schema, affected, fn, disk, stats, strategy);
 }
 
-void MergeAggregateByOrder(const Relation& a, const Relation& b,
-                           std::span<const int> cols, AggFn fn,
-                           Relation& out) {
-  SNCUBE_CHECK(a.width() == b.width() && &out != &a && &out != &b);
-  out.Reset(a.width());
-  out.Reserve(a.size() + b.size());
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    const int cmp = CompareRows(a, i, cols, b, j, cols);
-    if (cmp < 0) {
-      out.AppendRow(a, i++);
-    } else if (cmp > 0) {
-      out.AppendRow(b, j++);
-    } else {
-      out.Append(a.RowKeys(i), CombineMeasure(fn, a.measure(i), b.measure(j)));
-      ++i;
-      ++j;
-    }
-  }
-  while (i < a.size()) out.AppendRow(a, i++);
-  while (j < b.size()) out.AppendRow(b, j++);
-}
-
 void MergeDeltaView(const ViewResult& base, const CubeResult& delta_cube,
                     AggFn fn, ViewResult& out) {
   out.id = base.id;
@@ -80,7 +56,7 @@ void MergeDeltaView(const ViewResult& base, const CubeResult& delta_cube,
     resorted = SortRelation(*delta_rows, cols);
     delta_rows = &resorted;
   }
-  MergeAggregateByOrder(base.rel, *delta_rows, cols, fn, out.rel);
+  MergeSortedAggregate(base.rel, *delta_rows, cols, fn, out.rel);
 }
 
 ByteBuffer MergeDeltaFrame(std::span<const std::byte> base,

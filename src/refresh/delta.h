@@ -50,17 +50,6 @@ CubeResult ComputeDeltaCube(const Relation& delta, const Schema& schema,
                             PartialStrategy strategy =
                                 PartialStrategy::kPrunedPipesort);
 
-// Merges two same-width relations that are BOTH sorted lexicographically by
-// column positions `cols`, combining equal-key rows with `fn`, into `out`
-// (neither input; its storage is reused). The general-order sibling of
-// MergeSortedAggregate (relation/aggregate.h), which only handles the
-// all-columns-ascending case — view rows are sorted by the view's own
-// order, not the canonical one, so the refresh merge needs the permuted
-// comparator. Output stays sorted by `cols`.
-void MergeAggregateByOrder(const Relation& a, const Relation& b,
-                           std::span<const int> cols, AggFn fn,
-                           Relation& out);
-
 // One refreshed view into `out` (not `base`; its storage is reused): `base`
 // merged with its counterpart in `delta_cube` (a view the delta cube lacks
 // passes through unchanged — an empty delta view contributes nothing). The

@@ -48,14 +48,15 @@ Relation SortAndAggregate(const Relation& rel, std::span<const int> cols,
   return AggregateSortedPrefix(SortRelation(rel, cols), cols, fn);
 }
 
-Relation MergeSortedAggregate(const Relation& a, const Relation& b, AggFn fn) {
-  SNCUBE_CHECK(a.width() == b.width());
-  Relation out(a.width());
+void MergeSortedAggregate(const Relation& a, const Relation& b,
+                          std::span<const int> cols, AggFn fn, Relation& out) {
+  SNCUBE_CHECK(a.width() == b.width() && &out != &a && &out != &b);
+  out.Reset(a.width());
   out.Reserve(a.size() + b.size());
   std::size_t i = 0;
   std::size_t j = 0;
   while (i < a.size() && j < b.size()) {
-    const int cmp = CompareRows(a, i, b, j);
+    const int cmp = CompareRows(a, i, cols, b, j, cols);
     if (cmp < 0) {
       out.AppendRow(a, i++);
     } else if (cmp > 0) {
@@ -68,7 +69,6 @@ Relation MergeSortedAggregate(const Relation& a, const Relation& b, AggFn fn) {
   }
   while (i < a.size()) out.AppendRow(a, i++);
   while (j < b.size()) out.AppendRow(b, j++);
-  return out;
 }
 
 Relation CollapseSorted(const Relation& sorted, AggFn fn) {

@@ -26,10 +26,14 @@ Relation AggregateSortedPrefix(const Relation& sorted,
 Relation SortAndAggregate(const Relation& rel, std::span<const int> cols,
                           AggFn fn);
 
-// Merges two relations of identical width that are BOTH sorted over all
-// columns, combining rows with equal keys. Used when agglomerating view
-// fragments during Merge-Partitions.
-Relation MergeSortedAggregate(const Relation& a, const Relation& b, AggFn fn);
+// Merges two relations of identical width that are BOTH sorted
+// lexicographically by column positions `cols`, combining rows with equal
+// keys with `fn`, into `out` (neither input; its storage is reused). The
+// output stays sorted by `cols`. It merges a delta view into its base view
+// in the view's own order (refresh/delta.h) and scatter partials in
+// canonical order 0..w-1 (serve/router.h).
+void MergeSortedAggregate(const Relation& a, const Relation& b,
+                          std::span<const int> cols, AggFn fn, Relation& out);
 
 // In-place duplicate collapse of a fully sorted relation (all columns).
 Relation CollapseSorted(const Relation& sorted, AggFn fn);

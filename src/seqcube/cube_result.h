@@ -31,7 +31,7 @@ struct ViewResult {
 
 struct CubeResult {
   // Ordered map on purpose: every `for (auto& [id, vr] : views)` walk —
-  // checkpointing, merge planning, serialization — visits views in
+  // partition writes, merge planning, serialization — visits views in
   // ascending mask order on every rank and every run, so iteration order
   // can never leak into cube bytes or simulated costs (the sncheck_ast
   // `unordered-iter` rule holds this line). View counts are ≤ 2^d, d ≤ 16;

@@ -27,9 +27,6 @@ constexpr int kFormat = 4;
 // instead of one per view, and no single file is much larger than the
 // build's largest view file.
 constexpr std::uint64_t kSegmentBytes = 256 << 10;
-// Transient disk errors retried per operation before they escalate. (No
-// backoff: a store has no clock to charge one to.)
-constexpr int kMaxIoRetries = 4;
 
 [[noreturn]] void Corrupt(const std::string& what) {
   throw SncubeCorruptionError("MANIFEST: " + what);
@@ -314,27 +311,12 @@ CubeManifest ViewStore::LoadManifest() const {
   return {*log.schema, committed.back().epoch, committed.back().views};
 }
 
-void ViewStore::SaveCubeParts(std::span<const CubeResult> parts,
-                              const Schema& schema) const {
-  SNCUBE_CHECK(!parts.empty());
+void ViewStore::SaveCube(const CubeResult& cube, const Schema& schema) const {
   Writer writer(*this, schema);
-  std::vector<const Relation*> rels(parts.size());
-  for (const auto& [id, first] : parts[0].views) {
-    if (!first.selected) continue;
-    for (std::size_t r = 0; r < parts.size(); ++r) {
-      const auto it = parts[r].views.find(id);
-      SNCUBE_CHECK_MSG(it != parts[r].views.end() && it->second.selected &&
-                           it->second.order == first.order,
-                       "cube parts disagree on a view");
-      rels[r] = &it->second.rel;
-    }
-    writer.Write(id, first.order, rels);
+  for (const auto& [id, view] : cube.views) {
+    if (view.selected) writer.Write(view);
   }
   writer.Commit();
-}
-
-void ViewStore::SaveCube(const CubeResult& cube, const Schema& schema) const {
-  SaveCubeParts({&cube, 1}, schema);
 }
 
 ByteBuffer ViewStore::ReadFrame(const ViewEntry& entry) const {
@@ -386,11 +368,34 @@ CubeResult ViewStore::LoadCube() const {
   return cube;
 }
 
-void ViewStore::Clear() const {
+std::optional<ViewEntry> ViewStore::VerifyBuildFile(ViewId id) const {
+  ViewEntry entry{id, 0, 0};
+  try {
+    ByteBuffer frame;
+    WithDisk("view read", [&](DiskModel& disk) {
+      frame = ReadSealedFile(dir_ / FileOf(entry), disk);
+    });
+    const FrameHeader header = FrameCursor(frame).header();
+    if (header.id != id || header.epoch != 0) return std::nullopt;
+    entry.rows = header.rows;
+    entry.bytes = frame.size() + kFrameTrailerBytes;
+  } catch (const SncubeIoError&) {
+    return std::nullopt;  // missing or unreadable
+  } catch (const SncubeCorruptionError&) {
+    return std::nullopt;
+  }
+  return entry;
+}
+
+void ViewStore::Clear(std::span<const ViewEntry> keep) const {
   std::filesystem::create_directories(dir_);
   std::filesystem::remove(dir_ / kManifestName);
+  std::set<std::string> kept;
+  for (const ViewEntry& entry : keep) kept.insert(FileOf(entry));
   for (const ViewFile& file : ListViewFiles(dir_)) {
-    std::filesystem::remove(file.path);
+    if (kept.count(file.path.filename().string()) == 0) {
+      std::filesystem::remove(file.path);
+    }
   }
 }
 
@@ -468,6 +473,16 @@ ViewStore::Writer::Writer(const ViewStore& store, Schema schema,
   for (const ViewFile& file : ListViewFiles(store_.dir_)) {
     if (file.live && file.epoch == epoch_) std::filesystem::remove(file.path);
   }
+}
+
+ViewStore::Writer::Writer(const ViewStore& store, Schema schema,
+                          std::vector<ViewEntry> kept)
+    : store_(store),
+      schema_(std::move(schema)),
+      epoch_(0),
+      views_(std::move(kept)) {
+  for (const ViewEntry& entry : views_) SNCUBE_CHECK(entry.epoch == 0);
+  store_.Clear(views_);
 }
 
 ViewStore::Writer::~Writer() {

@@ -24,7 +24,9 @@
 // few files instead of one per view, while no file grows much past the
 // build's largest view file. The build keeps a file per view because it
 // streams views in schedule-tree order, and its bytes must not depend on
-// that order.
+// that order. A parallel build writes them a Di-partition at a time, and
+// the files an interrupted one left are what a resumed one keeps
+// (core/partition_writer.h).
 //
 // MANIFEST records are sealed lines (AppendSealedLine: " crc <8-hex>"):
 //
@@ -57,6 +59,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -93,6 +96,10 @@ class ViewStore {
  public:
   class Writer;
 
+  // Transient disk errors retried per operation before they escalate to
+  // SncubeIoError. (No backoff: a store has no clock to charge one to.)
+  static constexpr int kMaxIoRetries = 4;
+
   // A handle on the store rooted at `dir`; nothing is read or created until
   // a method needs it. `disk`, when given, is borrowed: every file read and
   // write is charged to it and passes its fault hook, and transient errors
@@ -109,15 +116,7 @@ class ViewStore {
   // older format (rebuild it).
   CubeManifest LoadManifest() const;
 
-  // Persists the selected views of a cube computed as rank-order parts as
-  // a new store at epoch 0: view v's file holds parts[0]'s rows of v, then
-  // parts[1]'s, and so on (the global view, since each rank holds a
-  // globally sorted range), encoded without concatenating them in memory,
-  // so the bytes are those of the whole view. Every part must hold the same
-  // selected views in the same sort orders.
-  void SaveCubeParts(std::span<const CubeResult> parts,
-                     const Schema& schema) const;
-  // The one-part case.
+  // Persists the selected views of `cube` as a new store at epoch 0.
   void SaveCube(const CubeResult& cube, const Schema& schema) const;
 
   // Reads the frame an index entry names (seqcube/view_frame.h) and checks
@@ -135,11 +134,17 @@ class ViewStore {
   // The name of the file that holds an entry's frame, for messages.
   static std::string FileName(const ViewEntry& entry);
 
+  // The entry of view `id`'s epoch-0 file (the build's own file) when its
+  // sealed frame verifies: the seal, and a header naming `id` at epoch 0.
+  // std::nullopt when the file is missing or any of that fails. A resumed
+  // build adopts what an interrupted one wrote through this.
+  std::optional<ViewEntry> VerifyBuildFile(ViewId id) const;
+
   // Writer-side maintenance. Clear removes the MANIFEST, then every view
-  // file and segment (set-aside ones included), creating the directory if
-  // needed. RemoveEpochsBelow removes the live files of every epoch below
-  // `epoch`.
-  void Clear() const;
+  // file and segment (set-aside ones included) but the files of `keep`,
+  // creating the directory if needed. RemoveEpochsBelow removes the live
+  // files of every epoch below `epoch`.
+  void Clear(std::span<const ViewEntry> keep = {}) const;
   void RemoveEpochsBelow(std::uint64_t epoch) const;
 
   // The restart path: loads the newest committed epoch whose frames all
@@ -178,6 +183,10 @@ class ViewStore::Writer {
   // than each of them, and takes its views in ascending mask order
   // (checked).
   Writer(const ViewStore& store, Schema schema, std::uint64_t epoch = 0);
+  // Starts epoch 0 over what an interrupted build left: the files of `kept`
+  // (entries VerifyBuildFile returned) stay and count as written by this
+  // writer; the MANIFEST and every other view file go.
+  Writer(const ViewStore& store, Schema schema, std::vector<ViewEntry> kept);
   ~Writer();
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;

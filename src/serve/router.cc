@@ -1,7 +1,9 @@
 #include "serve/router.h"
 
+#include <numeric>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "common/status.h"
 #include "relation/aggregate.h"
@@ -322,9 +324,12 @@ RouterResult Router::Execute(const Query& query) {
     // (a group outside one slice's local top-k can win globally).
     sub.top_k = 0;
     // The fold starts from the first two partials, so each partial is read
-    // once and the merged answer is moved, not copied, into the reply.
+    // once and the merged answer is moved, not copied, into the reply. Two
+    // buffers take turns as its output.
     std::shared_ptr<const QueryAnswer> first;
     Relation merged;
+    Relation next;
+    std::vector<int> cols;  // canonical order: partials are sorted by it
     std::uint64_t scanned = 0;
     out.outcome = RouterOutcome::kOk;
     for (int sl = 0; sl < shards_.shards(); ++sl) {
@@ -340,9 +345,12 @@ RouterResult Router::Execute(const Query& query) {
       scanned += r.answer->rows_scanned;
       if (sl == 0) {
         first = r.answer;
+        cols.resize(static_cast<std::size_t>(first->rel.width()));
+        std::iota(cols.begin(), cols.end(), 0);
       } else {
-        merged = MergeSortedAggregate(sl == 1 ? first->rel : merged,
-                                      r.answer->rel, query.fn);
+        MergeSortedAggregate(sl == 1 ? first->rel : merged, r.answer->rel,
+                             cols, query.fn, next);
+        std::swap(merged, next);
       }
     }
     if (out.outcome == RouterOutcome::kOk) {

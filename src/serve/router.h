@@ -62,13 +62,13 @@ struct RouterOptions {
   // Probe every shard's reachability once per this many requests (drives
   // open → half-open → closed recovery without client traffic). 0 = off.
   int probe_every = 64;
-  // TEST-ONLY escape hatch (cf. CheckpointOptions::verify_restore): false
-  // stops the router from pinning Query::from_view across a scatter,
-  // letting each slice route its sub-query independently. That re-opens the
-  // mixed-view wrong-answer bug (each view is partitioned by its own
-  // leading dimension, so partials from different views lose or double
-  // count facts) so the serve chaos harness can demonstrate catching a real
-  // corruption. Never set this in production paths.
+  // TEST-ONLY escape hatch: false stops the router from pinning
+  // Query::from_view across a scatter, letting each slice route its
+  // sub-query independently. That re-opens the mixed-view wrong-answer bug
+  // (each view is partitioned by its own leading dimension, so partials
+  // from different views lose or double count facts) so the serve chaos
+  // harness can demonstrate catching a real corruption. Never set this in
+  // production paths.
   bool pin_scatter_view = true;
 };
 

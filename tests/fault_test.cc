@@ -1,25 +1,29 @@
 // Fault injection and hardened failure paths: plan parsing, deterministic
 // injector streams, typed cluster aborts, cluster reusability after a
 // failure, straggler clock stretching, disk-error escalation, and the
-// kill/restart acceptance criterion — a build aborted by an injected rank
-// failure, restarted from its checkpoint directory, must produce a cube
-// byte-identical to a fault-free build.
+// cube directory as the build's checkpoint: a build aborted by an injected
+// rank failure leaves the view files of its finished Di-partitions, and a
+// resumed build — after any damage to those files — leaves a directory
+// byte-identical to a fault-free build's.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/crc32c.h"
 #include "core/parallel_cube.h"
+#include "core/partition_writer.h"
 #include "data/generator.h"
 #include "lattice/lattice.h"
 #include "net/cluster.h"
 #include "net/fault.h"
-#include "relation/serialize.h"
 
 namespace sncube {
 namespace {
@@ -360,57 +364,72 @@ TEST(Fault, TransientDiskErrorOutsideRetryPathKillsTheRank) {
 }
 
 // ---------------------------------------------------------------------------
-// Acceptance: kill rank 1 at superstep k, restart from the checkpoint
-// directory, and compare the final cube byte-for-byte against a fault-free
-// build — for p ∈ {2, 4} and two distinct kill points each.
+// The cube directory is the checkpoint. A build writes each Di-partition's
+// views as the partition finishes; a killed build leaves those files and no
+// MANIFEST; --resume keeps every partition whose files all verify.
 
-using ShardBytes = std::vector<std::map<std::uint32_t, ByteBuffer>>;
+using DirBytes = std::map<std::string, std::string>;
 
-ShardBytes CollectShardBytes(const std::vector<CubeResult>& shards) {
-  ShardBytes out(shards.size());
-  for (std::size_t r = 0; r < shards.size(); ++r) {
-    for (const auto& [id, vr] : shards[r].views) {
-      out[r][id.mask()] = SerializeRelation(vr.rel);
-    }
+DirBytes ReadDir(const std::filesystem::path& dir) {
+  DirBytes files;
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(file.path(), std::ios::binary);
+    files[file.path().filename().string()] = std::string(
+        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
   }
-  return out;
+  return files;
 }
 
+std::filesystem::path FreshDir(const std::string& tag) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("sncube_fault_" + tag + "_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+// Builds `spec`'s full cube on `cluster` into `dir` through a
+// PartitionWriter, resuming what is there with `resume`. False when the
+// build aborted, which leaves the finished partitions' files. `stats`, when
+// given, gets rank 0's.
+bool BuildInto(Cluster& cluster, const std::filesystem::path& dir,
+               const DatasetSpec& spec, bool resume,
+               ParallelCubeStats* stats = nullptr) {
+  const Schema schema = spec.MakeSchema();
+  const std::vector<ViewId> selected = AllViews(schema.dims());
+  const int p = cluster.size();
+  PartitionWriter writer(ViewStore(dir), schema, selected, p, resume);
+  ParallelCubeOptions opts;
+  writer.Attach(opts);
+  try {
+    cluster.Run([&](Comm& comm) {
+      ParallelCubeStats st;
+      const Relation raw = GenerateSlice(spec, p, comm.rank());
+      BuildParallelCube(comm, raw, schema, selected, opts, &st);
+      if (comm.rank() == 0 && stats != nullptr) *stats = st;
+    });
+  } catch (const ClusterAbortedError&) {
+    writer.Abandon();
+    return false;
+  }
+  writer.Commit();
+  return true;
+}
+
+// Acceptance: kill rank 1 at superstep k, resume in the same directory, and
+// compare every file, MANIFEST included, with a fault-free build's — for
+// p in {2, 4} and two kill points each.
 TEST(FaultTolerance, KilledBuildRestartedFromCheckpointIsByteIdentical) {
   DatasetSpec spec;
   spec.rows = 2500;
   spec.cardinalities = {12, 6, 4};
   spec.seed = 99;
-  const Schema schema = spec.MakeSchema();
-  const auto selected = AllViews(3);
 
   for (int p : {2, 4}) {
-    auto build = [&](Cluster& cluster, const std::string& ckpt_dir,
-                     std::vector<CubeResult>* shards,
-                     std::vector<ParallelCubeStats>* stats) {
-      std::mutex mu;
-      cluster.Run([&](Comm& comm) {
-        const Relation raw = GenerateSlice(spec, p, comm.rank());
-        ParallelCubeOptions opts;
-        opts.checkpoint.dir = ckpt_dir;
-        ParallelCubeStats st;
-        CubeResult cube =
-            BuildParallelCube(comm, raw, schema, selected, opts, &st);
-        std::lock_guard<std::mutex> lock(mu);
-        if (shards != nullptr) {
-          (*shards)[static_cast<std::size_t>(comm.rank())] = std::move(cube);
-        }
-        if (stats != nullptr) {
-          (*stats)[static_cast<std::size_t>(comm.rank())] = st;
-        }
-      });
-    };
-
-    // Fault-free reference, no checkpointing at all.
+    const auto ref_dir = FreshDir("ref_p" + std::to_string(p));
     Cluster reference(p);
-    std::vector<CubeResult> ref_shards(p);
-    build(reference, "", &ref_shards, nullptr);
-    const ShardBytes ref_bytes = CollectShardBytes(ref_shards);
+    ASSERT_TRUE(BuildInto(reference, ref_dir, spec, /*resume=*/false));
+    const DirBytes golden = ReadDir(ref_dir);
+    std::filesystem::remove_all(ref_dir);
     const std::uint64_t total_supersteps = reference.stats()[0].supersteps;
     ASSERT_GT(total_supersteps, 3u);
 
@@ -418,39 +437,156 @@ TEST(FaultTolerance, KilledBuildRestartedFromCheckpointIsByteIdentical) {
                                          (2 * total_supersteps) / 3};
     ASSERT_NE(kill_points[0], kill_points[1]);
     for (const std::uint64_t kill_at : kill_points) {
-      const auto dir = std::filesystem::temp_directory_path() /
-                       ("sncube_fault_p" + std::to_string(p) + "_k" +
-                        std::to_string(kill_at) + "_" +
-                        std::to_string(::getpid()));
-      std::filesystem::remove_all(dir);
-
+      const auto dir = FreshDir("p" + std::to_string(p) + "_k" +
+                                std::to_string(kill_at));
       Cluster cluster(p);
       cluster.set_fault_plan(
           FaultPlan::Parse("kill:1@" + std::to_string(kill_at)));
-      try {
-        build(cluster, dir.string(), nullptr, nullptr);
-        FAIL() << "p=" << p << " kill@" << kill_at << " did not abort";
-      } catch (const ClusterAbortedError& e) {
-        EXPECT_EQ(e.failed_rank(), 1);
-        EXPECT_EQ(e.superstep(), kill_at);
-      }
+      EXPECT_FALSE(BuildInto(cluster, dir, spec, /*resume=*/false));
+      ASSERT_TRUE(cluster.last_failure().has_value());
+      EXPECT_EQ(cluster.last_failure()->failed_rank, 1);
+      EXPECT_EQ(cluster.last_failure()->superstep, kill_at);
+      EXPECT_FALSE(std::filesystem::exists(dir / "MANIFEST"));
 
-      // Restart against the same checkpoint directory, faults cleared.
+      // Resume in the same directory, faults cleared.
       cluster.clear_fault_plan();
-      std::vector<CubeResult> shards(p);
-      std::vector<ParallelCubeStats> stats(p);
-      build(cluster, dir.string(), &shards, &stats);
-      EXPECT_EQ(CollectShardBytes(shards), ref_bytes)
-          << "p=" << p << " kill@" << kill_at;
-      // The later kill point falls after at least one completed partition,
-      // so the restart must actually restore work instead of redoing it all.
+      ParallelCubeStats stats;
+      ASSERT_TRUE(BuildInto(cluster, dir, spec, /*resume=*/true, &stats));
+      EXPECT_EQ(ReadDir(dir), golden) << "p=" << p << " kill@" << kill_at;
+      // The later kill point falls after at least one finished partition,
+      // so the resume must skip work instead of redoing it all.
       if (kill_at == kill_points[1]) {
-        EXPECT_GT(stats[0].partitions_restored, 0)
+        EXPECT_GT(stats.partitions_skipped, 0)
             << "p=" << p << " kill@" << kill_at;
       }
       std::filesystem::remove_all(dir);
     }
   }
+}
+
+// The resume crash matrix: a --procs 2 build killed after at least two of
+// its four partitions, then each view file it left deleted, truncated at
+// several offsets, or with one byte flipped at several offsets. The
+// resumed build recomputes exactly the damaged file's partition and leaves
+// the fault-free build's bytes.
+TEST(CheckpointCrashPoints, AllTornWriteScenariosRestartByteIdentical) {
+  DatasetSpec spec;
+  spec.rows = 800;
+  spec.cardinalities = {8, 5, 3, 2};
+  spec.seed = 31;
+  const int p = 2;
+
+  const auto ref_dir = FreshDir("matrix_ref");
+  Cluster reference(p);
+  ASSERT_TRUE(BuildInto(reference, ref_dir, spec, /*resume=*/false));
+  const DirBytes golden = ReadDir(ref_dir);
+  std::filesystem::remove_all(ref_dir);
+
+  // Killed in its last superstep: every partition but the last is written.
+  const auto killed = FreshDir("matrix_killed");
+  {
+    Cluster cluster(p);
+    cluster.set_fault_plan(FaultPlan::Parse(
+        "kill:1@" + std::to_string(reference.stats()[0].supersteps - 1)));
+    ASSERT_FALSE(BuildInto(cluster, killed, spec, /*resume=*/false));
+  }
+  const DirBytes interrupted = ReadDir(killed);
+  ASSERT_EQ(interrupted.count("MANIFEST"), 0u);
+
+  const auto dir = FreshDir("matrix");
+  // Resumes a copy of the interrupted directory after `damage` and checks
+  // the bytes and the partitions it skipped.
+  const auto resume = [&](const std::string& what, int want_skipped,
+                          const auto& damage) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::copy(killed, dir);
+    damage();
+    Cluster cluster(p);
+    ParallelCubeStats stats;
+    ASSERT_TRUE(BuildInto(cluster, dir, spec, /*resume=*/true, &stats))
+        << what;
+    EXPECT_EQ(ReadDir(dir), golden) << what;
+    EXPECT_EQ(stats.partitions_skipped, want_skipped) << what;
+  };
+
+  ParallelCubeStats undamaged;
+  {
+    std::filesystem::remove_all(dir);
+    std::filesystem::copy(killed, dir);
+    Cluster cluster(p);
+    ASSERT_TRUE(BuildInto(cluster, dir, spec, /*resume=*/true, &undamaged));
+    EXPECT_EQ(ReadDir(dir), golden);
+  }
+  const int written = undamaged.partitions_skipped;
+  ASSERT_GE(written, 2);
+  ASSERT_LT(written, undamaged.partitions);
+
+  for (const auto& [name, bytes] : interrupted) {
+    const auto path = dir / name;
+    const std::uintmax_t size = bytes.size();
+    resume(name + " deleted", written - 1,
+           [&] { std::filesystem::remove(path); });
+    for (const std::uintmax_t keep : {std::uintmax_t{0}, std::uintmax_t{1},
+                                      size / 2, size - 1}) {
+      resume(name + " truncated to " + std::to_string(keep), written - 1,
+             [&] { std::filesystem::resize_file(path, keep); });
+    }
+    for (const std::uintmax_t at : {std::uintmax_t{0}, size / 2, size - 1}) {
+      resume(name + " flipped at " + std::to_string(at), written - 1, [&] {
+        std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+        f.seekg(static_cast<std::streamoff>(at));
+        const char flipped = static_cast<char>(f.peek() ^ 0x20);
+        f.seekp(static_cast<std::streamoff>(at));
+        f.put(flipped);
+      });
+    }
+  }
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(killed);
+}
+
+// Every partition written and no MANIFEST (a kill after the last write,
+// before the commit): the resume skips every partition and writes only
+// the MANIFEST.
+TEST(Checkpoint, FullyCheckpointedBuildRestoresEveryPartition) {
+  DatasetSpec spec;
+  spec.rows = 1200;
+  spec.cardinalities = {10, 5, 3};
+  spec.seed = 17;
+  const auto dir = FreshDir("full");
+  Cluster cluster(2);
+  ParallelCubeStats first;
+  ASSERT_TRUE(BuildInto(cluster, dir, spec, /*resume=*/false, &first));
+  EXPECT_EQ(first.partitions_skipped, 0);
+  const DirBytes golden = ReadDir(dir);
+  std::filesystem::remove(dir / "MANIFEST");
+
+  ParallelCubeStats second;
+  ASSERT_TRUE(BuildInto(cluster, dir, spec, /*resume=*/true, &second));
+  EXPECT_EQ(second.partitions_skipped, second.partitions);
+  EXPECT_EQ(ReadDir(dir), golden);
+  std::filesystem::remove_all(dir);
+}
+
+// Rank shards that disagree on a view are refused, not written.
+TEST(Checkpoint, ShardsThatDisagreeOnAViewAreRefused) {
+  const auto dir = FreshDir("disagree");
+  const Schema schema({4, 3});
+  const ViewId id = ViewId::FromDims({0, 1});
+  PartitionWriter writer(ViewStore(dir), schema, {id}, 2, /*resume=*/false);
+  for (int rank = 0; rank < 2; ++rank) {
+    CubeResult part;
+    ViewResult& view = part.views[id];
+    view.id = id;
+    view.order = rank == 0 ? std::vector<int>{0, 1} : std::vector<int>{1, 0};
+    view.rel = Relation(2);
+    if (rank == 0) {
+      writer.Deliver(0, rank, std::move(part));
+    } else {
+      EXPECT_THROW(writer.Deliver(0, rank, std::move(part)), SncubeError);
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <numeric>
 #include <optional>
 #include <string>
 
@@ -294,11 +295,18 @@ TEST(QueryProperty, ExecuteMatchesBruteForceOnEveryPath) {
         sub.from_view = view;
         sub.top_k = 0;
         Relation folded;
+        Relation next;
         for (std::size_t sl = 0; sl < slices.size(); ++sl) {
           const QueryAnswer part = CubeQueryEngine(slices[sl]).Execute(sub);
           ASSERT_EQ(part.answered_from, view) << what;
-          folded = sl == 0 ? part.rel
-                           : MergeSortedAggregate(folded, part.rel, fn);
+          if (sl == 0) {
+            folded = part.rel;
+            continue;
+          }
+          std::vector<int> cols(static_cast<std::size_t>(folded.width()));
+          std::iota(cols.begin(), cols.end(), 0);
+          MergeSortedAggregate(folded, part.rel, cols, fn, next);
+          std::swap(folded, next);
         }
         ASSERT_EQ(TopKByMeasure(std::move(folded), q.top_k), want) << what;
 

@@ -96,8 +96,8 @@ bool CubesIdentical(const CubeResult& a, const CubeResult& b) {
 // ---------------------------------------------------------------------------
 
 TEST(DeltaMerge, MergeAggregateByOrderMergesAndCombines) {
-  // Rows sorted by column order {1, 0} — the permuted comparator is the
-  // whole point (MergeSortedAggregate only does all-ascending).
+  // Rows sorted by column order {1, 0}, a view's own order: the merge
+  // compares in the order it is given, not the canonical one.
   Relation a(2), b(2);
   const std::vector<int> cols = {1, 0};
   // a sorted by (col1, col0): (…,0), (…,1), (…,2)
@@ -119,7 +119,7 @@ TEST(DeltaMerge, MergeAggregateByOrderMergesAndCombines) {
   // row, which the merge replaces.
   Relation out(3);
   out.Append(std::vector<Key>{9, 9, 9}, 99);
-  MergeAggregateByOrder(a, b, cols, AggFn::kSum, out);
+  MergeSortedAggregate(a, b, cols, AggFn::kSum, out);
   ASSERT_EQ(out.width(), 2);
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out.RowKeys(0)[0], 5u);
@@ -129,9 +129,9 @@ TEST(DeltaMerge, MergeAggregateByOrderMergesAndCombines) {
   EXPECT_EQ(out.RowKeys(3)[1], 7u);
   EXPECT_EQ(out.measure(3), 1);
 
-  MergeAggregateByOrder(a, b, cols, AggFn::kMin, out);
+  MergeSortedAggregate(a, b, cols, AggFn::kMin, out);
   EXPECT_EQ(out.measure(2), 5);
-  MergeAggregateByOrder(a, b, cols, AggFn::kMax, out);
+  MergeSortedAggregate(a, b, cols, AggFn::kMax, out);
   EXPECT_EQ(out.measure(2), 30);
 }
 

@@ -307,7 +307,9 @@ TEST(Aggregate, ColumnPermutationProjectsInThatOrder) {
 TEST(Aggregate, MergeSortedAggregateCombinesAcross) {
   Relation a = MakeRel({{{1, 1}, 5}, {{3, 3}, 1}});
   Relation b = MakeRel({{{1, 1}, 2}, {{2, 2}, 9}});
-  Relation merged = MergeSortedAggregate(a, b, AggFn::kSum);
+  const std::vector<int> cols{0, 1};
+  Relation merged;
+  MergeSortedAggregate(a, b, cols, AggFn::kSum, merged);
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged.measure(0), 7);
   EXPECT_EQ(merged.key(1, 0), 2u);
@@ -317,7 +319,9 @@ TEST(Aggregate, MergeSortedAggregateCombinesAcross) {
 TEST(Aggregate, MergeWithEmptySide) {
   Relation a = MakeRel({{{1}, 5}});
   Relation b(1);
-  Relation merged = MergeSortedAggregate(a, b, AggFn::kSum);
+  const std::vector<int> cols{0};
+  Relation merged;
+  MergeSortedAggregate(a, b, cols, AggFn::kSum, merged);
   ASSERT_EQ(merged.size(), 1u);
   EXPECT_EQ(merged.measure(0), 5);
 }

@@ -492,9 +492,9 @@ TEST_F(ViewStoreTest, ViewDisagreeingWithItsEntryThrowsCorruption) {
 
 TEST_F(ViewStoreTest, RankPartsWriteTheConcatenatedView) {
   // The writer, handed whole views one at a time in descending mask order
-  // (a stream is in no mask order), and SaveCubeParts, handed the same cube
-  // as 1 to 4 "ranks" each holding part of every view, must write the same
-  // directory bytes.
+  // (a stream is in no mask order), and handed the same cube as 1 to 4
+  // "ranks" each holding part of every view, must write the same directory
+  // bytes.
   DatasetSpec spec;
   spec.rows = 500;
   spec.cardinalities = {8, 4, 2};
@@ -523,7 +523,13 @@ TEST_F(ViewStoreTest, RankPartsWriteTheConcatenatedView) {
       }
     }
     ViewStore split(dir_ / ("split" + std::to_string(k)));
-    split.SaveCubeParts(parts, schema);
+    ViewStore::Writer parts_writer(split, schema);
+    std::vector<const Relation*> rels(k);
+    for (const auto& [id, vr] : cube.views) {
+      for (std::size_t r = 0; r < k; ++r) rels[r] = &parts[r].views[id].rel;
+      parts_writer.Write(id, vr.order, rels);
+    }
+    parts_writer.Commit();
     std::size_t files = 0;
     for (const auto& entry :
          std::filesystem::directory_iterator(dir_ / "whole")) {
@@ -533,11 +539,169 @@ TEST_F(ViewStoreTest, RankPartsWriteTheConcatenatedView) {
       ++files;
     }
     EXPECT_EQ(files, IndexOf(cube).size() + 1);
+  }
+}
 
-    // Parts that disagree on a view's sort order are refused.
-    if (k > 1) {
-      parts[1].views.begin()->second.order = {9};
-      EXPECT_THROW(split.SaveCubeParts(parts, schema), SncubeError);
+// A build's file verifies when its seal, mask and epoch do. A resuming
+// writer keeps the files it is given, removes the MANIFEST and every other
+// view file, and once the other views are written again commits the
+// directory a fresh writer would.
+TEST_F(ViewStoreTest, ResumingWriterAdoptsVerifiedBuildFiles) {
+  ViewStore store(dir_);
+  Schema schema;
+  const CubeResult cube = SaveSmallCube(store, &schema);
+  const auto read_dir = [&] {
+    std::map<std::string, std::string> files;
+    for (const auto& f : std::filesystem::directory_iterator(dir_)) {
+      files[f.path().filename().string()] = ReadText(f.path());
+    }
+    return files;
+  };
+  const auto built = read_dir();
+  const std::vector<ViewEntry> index = store.LoadManifest().views;
+  ASSERT_GE(index.size(), 5u);
+  std::vector<ViewEntry> kept;
+  for (const ViewEntry& entry : index) {
+    const auto verified = store.VerifyBuildFile(entry.id);
+    ASSERT_TRUE(verified.has_value());
+    EXPECT_EQ(verified->rows, entry.rows);
+    EXPECT_EQ(verified->bytes, entry.bytes);
+    if (kept.size() < 2) kept.push_back(*verified);
+  }
+  // A view the directory lacks, another view's file under a view's name, a
+  // flipped byte and a frame of a later epoch do not verify.
+  EXPECT_FALSE(store.VerifyBuildFile(ViewId(1u << 3)).has_value());
+  const auto path = [&](std::size_t i) {
+    return dir_ / ViewStore::FileName(index[i]);
+  };
+  std::filesystem::copy_file(path(3), path(2),
+                             std::filesystem::copy_options::overwrite_existing);
+  EXPECT_FALSE(store.VerifyBuildFile(index[2].id).has_value());
+  {
+    std::fstream f(path(3), std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(3);
+    f.put('\x7f');
+  }
+  EXPECT_FALSE(store.VerifyBuildFile(index[3].id).has_value());
+  DiskModel disk;
+  WriteSealedFile(path(4), EncodeViewFrame(cube.views.at(index[4].id), 1),
+                  disk);
+  EXPECT_FALSE(store.VerifyBuildFile(index[4].id).has_value());
+
+  ViewStore::Writer resumed(store, schema, kept);
+  std::set<std::string> left;
+  for (const auto& [name, bytes] : read_dir()) left.insert(name);
+  EXPECT_EQ(left, (std::set<std::string>{ViewStore::FileName(kept[0]),
+                                         ViewStore::FileName(kept[1])}));
+  for (std::size_t i = kept.size(); i < index.size(); ++i) {
+    resumed.Write(cube.views.at(index[i].id));
+  }
+  resumed.Commit();
+  EXPECT_EQ(read_dir(), built);
+}
+
+// Fails the next `fails` disk operations of one kind (writes or reads) and
+// counts the operations of that kind it sees.
+class FailNextOps : public DiskFaultHook {
+ public:
+  FailNextOps(bool writes, int fails) : writes_(writes), fails_(fails) {}
+  bool NextOpFails(bool is_write) override {
+    if (is_write != writes_) return false;
+    ++ops_;
+    return fails_-- > 0;
+  }
+  int ops() const { return ops_; }
+
+ private:
+  bool writes_;
+  int fails_;
+  int ops_ = 0;
+};
+
+// The store's one I/O retry path: each operation retries kMaxIoRetries
+// transient errors, then escalates to SncubeIoError naming it. A writer
+// dropped after an escalation removes what it wrote.
+TEST_F(ViewStoreTest, ViewWriteRetriesTransientErrorsThenEscalates) {
+  const ViewResult view = MakeView(ViewId::FromDims({0, 1}), {0, 1}, 20);
+  for (const int fails : {ViewStore::kMaxIoRetries,
+                          ViewStore::kMaxIoRetries + 1}) {
+    DiskModel disk;
+    const ViewStore store(dir_, &disk);
+    FailNextOps hook(/*writes=*/true, fails);
+    {
+      ViewStore::Writer writer(store, Schema({16, 8, 4}));
+      writer.Write(MakeView(ViewId::FromDims({0}), {0}, 5));
+      disk.set_fault_hook(&hook);
+      if (fails == ViewStore::kMaxIoRetries) {
+        writer.Write(view);
+        writer.Commit();  // then the schema, prepare and commit records
+        EXPECT_EQ(hook.ops(), ViewStore::kMaxIoRetries + 1 + 3);
+        EXPECT_EQ(store.LoadManifest().views.size(), 2u);
+        continue;
+      }
+      try {
+        writer.Write(view);
+        ADD_FAILURE() << "a persistent error must escalate";
+      } catch (const SncubeIoError& e) {
+        EXPECT_NE(std::string(e.what()).find("view write"), std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("4 retries"), std::string::npos);
+      }
+    }
+    EXPECT_TRUE(std::filesystem::is_empty(dir_));
+  }
+}
+
+TEST_F(ViewStoreTest, ManifestAppendRetriesTransientErrorsThenEscalates) {
+  for (const int fails : {ViewStore::kMaxIoRetries,
+                          ViewStore::kMaxIoRetries + 1}) {
+    DiskModel disk;
+    const ViewStore store(dir_, &disk);
+    FailNextOps hook(/*writes=*/true, fails);
+    {
+      ViewStore::Writer writer(store, Schema({16, 8, 4}));
+      writer.Write(MakeView(ViewId::FromDims({0, 2}), {2, 0}, 9));
+      disk.set_fault_hook(&hook);
+      if (fails == ViewStore::kMaxIoRetries) {
+        writer.Commit();  // the schema, prepare and commit records
+        EXPECT_EQ(hook.ops(), ViewStore::kMaxIoRetries + 3);
+        EXPECT_EQ(store.LoadManifest().views.size(), 1u);
+        std::filesystem::remove_all(dir_);
+        continue;
+      }
+      try {
+        writer.Commit();
+        ADD_FAILURE() << "a persistent error must escalate";
+      } catch (const SncubeIoError& e) {
+        EXPECT_NE(std::string(e.what()).find("manifest append"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    EXPECT_TRUE(std::filesystem::is_empty(dir_));
+  }
+}
+
+TEST_F(ViewStoreTest, FrameReadRetriesTransientErrorsThenEscalates) {
+  const ViewResult view = MakeView(ViewId::FromDims({1}), {1}, 12);
+  const ViewEntry entry = SaveView(ViewStore(dir_), view);
+  for (const int fails : {ViewStore::kMaxIoRetries,
+                          ViewStore::kMaxIoRetries + 1}) {
+    DiskModel disk;
+    FailNextOps hook(/*writes=*/false, fails);
+    disk.set_fault_hook(&hook);
+    const ViewStore store(dir_, &disk);
+    if (fails == ViewStore::kMaxIoRetries) {
+      EXPECT_EQ(store.Load(entry).rel, view.rel);
+      EXPECT_EQ(hook.ops(), ViewStore::kMaxIoRetries + 1);
+      continue;
+    }
+    try {
+      store.ReadFrame(entry);
+      ADD_FAILURE() << "a persistent error must escalate";
+    } catch (const SncubeIoError& e) {
+      EXPECT_NE(std::string(e.what()).find("view read"), std::string::npos)
+          << e.what();
     }
   }
 }

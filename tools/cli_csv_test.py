@@ -41,14 +41,24 @@
    inferred (up to 2^32-1, which `build` refuses) widens the stored keys:
    the answers are the sums over the facts and the delta, and `info` still
    prints the build's cardinalities.
+12. A `build --procs 3` killed by a fault plan (exit 3) leaves a directory
+   that `info` and `query` refuse; `build --resume` at `--procs 3` and at
+   `--procs 2` each finish it byte-identical to the `--procs 1` build,
+   every file and the MANIFEST included, and so does a resume after a real
+   SIGKILL once the first view file has appeared. `--resume` at one
+   processor and the removed `--checkpoint-dir` are usage errors, and so
+   is any flag that would start more than 256 threads.
 """
 
 import argparse
 import json
 import os
+import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from collections import defaultdict
 from pathlib import Path
 
@@ -163,6 +173,89 @@ def check_parallel_builds_identical(binary, tmp):
                 if dir_bytes(dirs[name]) != dir_bytes(dirs["p1"]):
                     raise AssertionError(f"{name} {views} cube directory "
                                          f"differs from p1's after {step}")
+
+
+def check_interrupted_build_resumes(binary, tmp):
+    facts = tmp / "resume.csv"
+    out = run(binary, "generate", "--rows", 4000, "--cards", "16,8,6,4,3",
+              "--alphas", "1,0,0,1,0", "--seed", 9, "--out", facts)
+    if out.returncode != 0:
+        raise AssertionError(f"generate failed: {out.stderr}")
+    ref = tmp / "resume_p1"
+    out = run(binary, "build", "--in", facts, "--out", ref)
+    if out.returncode != 0:
+        raise AssertionError(f"build failed: {out.stderr}")
+    golden = dir_bytes(ref)
+    summary = tmp / "resume_summary.json"
+    out = run(binary, "build", "--in", facts, "--out", tmp / "resume_p3",
+              "--procs", 3, "--summary-out", summary)
+    if out.returncode != 0:
+        raise AssertionError(f"traced build failed: {out.stderr}")
+    steps = len(json.loads(summary.read_text())["supersteps"])
+
+    def resume(killed, procs, what):
+        cube = tmp / f"resumed_{procs}"
+        shutil.rmtree(cube, ignore_errors=True)
+        shutil.copytree(killed, cube)
+        out = run(binary, "build", "--in", facts, "--out", cube, "--procs",
+                  procs, "--resume")
+        if out.returncode != 0:
+            raise AssertionError(f"{what}: resume at --procs {procs} "
+                                 f"failed: {out.stderr}")
+        if dir_bytes(cube) != golden:
+            raise AssertionError(f"{what}: resumed at --procs {procs}, the "
+                                 f"directory differs from the p1 build's")
+
+    killed = tmp / "resume_killed"
+    for step in (3, steps // 2, steps - 1):
+        out = run(binary, "build", "--in", facts, "--out", killed, "--procs",
+                  3, "--fault-plan", f"kill:1@{step}")
+        if out.returncode != 3 or "--resume" not in out.stderr:
+            raise AssertionError(f"kill:1@{step}: exit {out.returncode}, "
+                                 f"stderr {out.stderr[-200:]!r}")
+        if "MANIFEST" in dir_bytes(killed):
+            raise AssertionError(f"kill:1@{step} left a MANIFEST")
+        for argv in (["info", "--cube", killed],
+                     ["query", "--cube", killed, "--group-by", "D0"]):
+            out = run(binary, *argv)
+            if out.returncode != 1 or out.stdout:
+                raise AssertionError(f"kill:1@{step}: {argv[0]} exit "
+                                     f"{out.returncode}, stdout "
+                                     f"{out.stdout[:80]!r}")
+        for procs in (3, 2):
+            resume(killed, procs, f"kill:1@{step}")
+
+    # A real SIGKILL, on a build big enough to outlast the first file.
+    big = tmp / "resume_big.csv"
+    out = run(binary, "generate", "--rows", 200000, "--cards",
+              "64,32,16,8,6,4,2", "--seed", 11, "--out", big)
+    if out.returncode != 0:
+        raise AssertionError(f"generate failed: {out.stderr}")
+    facts = big
+    ref = tmp / "resume_big_p1"
+    out = run(binary, "build", "--in", facts, "--out", ref)
+    if out.returncode != 0:
+        raise AssertionError(f"build failed: {out.stderr}")
+    golden = dir_bytes(ref)
+    shutil.rmtree(killed)
+    proc = subprocess.Popen([binary, "build", "--in", str(facts), "--out",
+                             str(killed), "--procs", "3"],
+                            stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    deadline = time.monotonic() + 600
+    while proc.poll() is None and time.monotonic() < deadline:
+        if killed.is_dir() and any(f.suffix == ".sncv"
+                                   for f in killed.iterdir()):
+            proc.send_signal(signal.SIGKILL)
+            break
+        time.sleep(0.0005)
+    proc.wait()
+    if proc.returncode != -signal.SIGKILL:
+        raise AssertionError(f"the build ended (exit {proc.returncode}) "
+                             f"before its first view file could be killed")
+    if (killed / "MANIFEST").exists():
+        raise AssertionError("a SIGKILLed build left a MANIFEST")
+    resume(killed, 3, "SIGKILL")
 
 
 def check_two_refreshes(binary, tmp):
@@ -287,7 +380,21 @@ def check_usage_errors(binary, tmp, cube):
              (build + ["--proc", "2"], "--proc"),
              (build + ["--views", "2", "--fraction", "0.5"], "--views"),
              (build + ["--local-trees"], "--local-trees"),
-             (build + ["--gamma", "0.1"], "--gamma")]
+             (build + ["--gamma", "0.1"], "--gamma"),
+             (build + ["--resume"], "--resume"),
+             (build + ["--checkpoint-dir", tmp / "ckpt"], "--checkpoint-dir")]
+    # Thread budget (256 a command): only budget + 1, and never with the
+    # --in or --cube the command would read, so nothing starts.
+    no_in = ["build", "--out", out_dir]
+    for flag in ("--procs", "--threads-per-rank"):
+        calls.append((no_in + [flag, "257"], flag))
+    for flag in ("--workers", "--clients", "--shards"):
+        calls.append((["serve", "--bench", flag, "257"], flag))
+    calls.append((["serve", "--bench", "--workers", "1", "--clients", "256"],
+                  "--clients"))
+    calls.append((["chaos", "--procs", "2,257"], "--procs"))
+    for mode in ("--serve", "--refresh"):
+        calls.append((["chaos", mode, "--shards", "257"], "--shards"))
     # facts.csv has d = 2, so --views is at most 4.
     for flag, value in (("--procs", "2x"), ("--procs", "0"), ("--procs", ""),
                         ("--threads-per-rank", "2junk"),
@@ -527,6 +634,7 @@ def main():
         check_two_refreshes(binary, tmp)
         check_empty_delta(binary, tmp)
         check_codes_beyond_cardinalities(binary, tmp)
+        check_interrupted_build_resumes(binary, tmp)
         check_query_flags(binary, tmp / "cube_crlf")
         check_usage_errors(binary, tmp, tmp / "cube_crlf")
         check_flipped_byte_refused(binary, tmp)

@@ -136,7 +136,7 @@ BLOCKING_NAMES = frozenset({
     "join",
     # minimpi collectives (src/net/comm.h)
     "AllToAllv", "Broadcast", "Gather", "AllGather", "AllReduceSum",
-    "AllReduceMax", "AllReduceMin", "Barrier", "ArriveAndCheck",
+    "AllReduceMax", "Barrier", "ArriveAndCheck",
     # sealed-file disk I/O (src/io/checked_file.h) and raw stdio
     "WriteSealedFile", "ReadSealedFile", "AppendSealedLine",
     "fopen", "fread", "fwrite", "fsync", "fflush",

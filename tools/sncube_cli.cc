@@ -33,7 +33,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -44,6 +43,7 @@
 #include "chaos/serve_chaos.h"
 #include "common/timer.h"
 #include "core/parallel_cube.h"
+#include "core/partition_writer.h"
 #include "data/generator.h"
 #include "exec/task_pool.h"
 #include "lattice/lattice.h"
@@ -110,8 +110,10 @@ constexpr const char* kHelpText =
     "                       needs --procs >= 2)\n"
     "  --local-trees        per-rank lattice trees + FM-sketch estimator\n"
     "                       (needs --procs >= 2)\n"
-    "  --checkpoint-dir DIR save per-partition checkpoints; rerun with the\n"
-    "                       same DIR to resume after a failure (needs --procs >= 2)\n"
+    "  --resume             finish a build that failed or was killed: keep\n"
+    "                       the Di-partitions whose view files in --out\n"
+    "                       verify and compute the rest (same input and\n"
+    "                       flags, any --procs >= 2)\n"
     "  --fault-plan SPEC    inject faults, e.g.\n"
     "                       \"kill:1@5;slow:2x3.0;diskerr:0:0.01;seed:7\"\n"
     "                       (needs --procs >= 2)\n"
@@ -181,8 +183,8 @@ constexpr const char* kHelpText =
     "\n"
     "sncube chaos --plans N --seed S\n"
     "  runs N random fault plans per cluster size; each trial builds a cube\n"
-    "  under the plan (restarting from its checkpoints on abort) and checks\n"
-    "  the result byte-identical to a fault-free build. A failing plan is\n"
+    "  directory under the plan (resuming it on abort) and checks it\n"
+    "  byte-identical to a fault-free build's. A failing plan is\n"
     "  shrunk to a minimal reproducing spec. Exit 0 = all trials upheld the\n"
     "  invariant; exit 4 = integrity violation found (see the JSON report).\n"
     "  --plans N          random fault plans per cluster size (default 16)\n"
@@ -351,6 +353,36 @@ constexpr std::uint32_t kIntMax = std::numeric_limits<int>::max();
 constexpr std::uint64_t kMaxMs =
     std::numeric_limits<std::uint64_t>::max() / 1000;
 
+// The threads one command may start. Every flag that becomes threads is at
+// most this, and so is the total its command starts, checked before any
+// input is read or any thread starts: a typo such as `--procs 40000` is a
+// usage error, not 40,000 threads.
+constexpr std::uint32_t kThreadBudget = 256;
+
+// Refuses `flags` (each at most kThreadBudget) when together they would
+// start more than kThreadBudget threads.
+void CheckThreads(std::initializer_list<const char*> flags,
+                  std::uint64_t threads) {
+  if (threads <= kThreadBudget) return;
+  std::string names;
+  for (const char* flag : flags) {
+    names += (names.empty() ? "" : " and ") + std::string(flag);
+  }
+  Usage((names + " would start " + std::to_string(threads) +
+         " threads; a command starts at most " +
+         std::to_string(kThreadBudget))
+            .c_str());
+}
+
+// The server threads of a shard set: a primary and a replica CubeServer of
+// `workers` threads per shard, for each epoch it hosts at once (while a
+// refresh prepares the next epoch, the serving one and the one before it
+// still drain).
+std::uint64_t ShardSetThreads(std::uint64_t shards, std::uint64_t workers,
+                              bool refreshing) {
+  return 2 * shards * workers * (refreshing ? 3 : 1);
+}
+
 int CmdGenerate(const Args& args) {
   DatasetSpec spec;
   spec.rows = ParseFlagNumber<std::int64_t>("--rows", args.Require("rows"), 1);
@@ -389,10 +421,14 @@ int CmdBuild(const Args& args) {
   // Options are checked before the input is read; only --views' upper
   // bound, 2^d, waits for d.
   const auto p = static_cast<int>(ParseFlagNumber<std::uint32_t>(
-      "--procs", args.Get("procs").value_or("1"), 1, kIntMax));
+      "--procs", args.Get("procs").value_or("1"), 1, kThreadBudget));
   const auto threads_per_rank = static_cast<int>(ParseFlagNumber<std::uint32_t>(
       "--threads-per-rank", args.Get("threads-per-rank").value_or("1"), 1,
-      kIntMax));
+      kThreadBudget));
+  // A thread per rank, each with a pool of threads_per_rank (its own
+  // thread included).
+  CheckThreads({"--procs", "--threads-per-rank"},
+               std::uint64_t{1} * p * threads_per_rank);
   if (args.Has("views") && args.Has("fraction")) {
     Usage("--views and --fraction are exclusive");
   }
@@ -417,12 +453,11 @@ int CmdBuild(const Args& args) {
     opts.tree_mode = TreeMode::kLocal;
     opts.estimator = EstimatorKind::kFm;
   }
-  const auto checkpoint_dir = args.Get("checkpoint-dir");
+  const bool resume = args.Has("resume");
   const auto fault_spec = args.Get("fault-plan");
-  if ((checkpoint_dir || fault_spec) && p == 1) {
-    Usage("--checkpoint-dir/--fault-plan require --procs >= 2");
+  if (p == 1) {
+    RefuseFlags(args, {"resume", "fault-plan"}, "requires --procs >= 2");
   }
-  if (checkpoint_dir) opts.checkpoint.dir = *checkpoint_dir;
   FaultPlan fault_plan;
   if (fault_spec) {
     try {
@@ -503,14 +538,15 @@ int CmdBuild(const Args& args) {
                    });
     writer.Commit();
   } else {
-    // Simulated shared-nothing build.
+    // Simulated shared-nothing build. Each Di-partition's views are written
+    // into --out as soon as every rank has merged its shard of them.
     Cluster cluster(p);
     cluster.set_threads_per_rank(threads_per_rank);
     if (!fault_plan.empty()) cluster.set_fault_plan(fault_plan);
     obs::TraceSink trace_sink;
     if (traced) cluster.set_trace_sink(&trace_sink);
-    std::vector<CubeResult> shards(p);
-    std::mutex mu;
+    PartitionWriter writer(ViewStore(out), schema, selected, p, resume);
+    writer.Attach(opts);
     try {
       cluster.Run([&](Comm& comm) {
         // Deal rows round-robin to ranks (the paper's "distributed
@@ -520,19 +556,15 @@ int CmdBuild(const Args& args) {
              r += static_cast<std::size_t>(comm.size())) {
           slice.AppendRow(raw, r);
         }
-        CubeResult cube =
-            BuildParallelCube(comm, slice, schema, selected, opts);
-        std::lock_guard<std::mutex> lock(mu);
-        shards[comm.rank()] = std::move(cube);
+        BuildParallelCube(comm, slice, schema, selected, opts);
       });
     } catch (const ClusterAbortedError& e) {
-      std::fprintf(stderr, "build aborted: %s\n", e.what());
-      if (checkpoint_dir) {
-        std::fprintf(stderr,
-                     "partitions completed before the failure are saved; "
-                     "rerun with the same --checkpoint-dir (and without the "
-                     "fault) to resume\n");
-      }
+      writer.Abandon();
+      std::fprintf(stderr,
+                   "build aborted: %s\nthe view files of the finished "
+                   "partitions are in %s; rerun with --resume (and without "
+                   "the fault) to finish the build\n",
+                   e.what(), out.c_str());
       return 3;
     }
     std::printf("simulated %d-processor build: %.2f s simulated parallel "
@@ -553,10 +585,8 @@ int CmdBuild(const Args& args) {
       if (summary_out) obs::WriteTextFile(*summary_out, summary);
       std::printf("%s\n", summary.c_str());
     }
-    // Each rank holds a globally sorted range of every view, so the rank
-    // parts in rank order are the view: write them straight into its file.
-    ViewStore(out).SaveCubeParts(shards, schema);
-    for (const CubeResult& shard : shards) rows_total += shard.TotalRows();
+    writer.Commit();
+    rows_total = writer.rows();
   }
   std::printf("built %zu views (%llu rows) into %s in %.2f s\n",
               selected.size(), static_cast<unsigned long long>(rows_total),
@@ -846,7 +876,7 @@ int CmdServe(const Args& args) {
   // Every flag is parsed and checked against the mode before the cube loads.
   ServerOptions opts;
   opts.workers = static_cast<int>(
-      FlagOr<std::uint32_t>(args, "workers", 4, 1, kIntMax));
+      FlagOr<std::uint32_t>(args, "workers", 4, 1, kThreadBudget));
   opts.queue_depth = FlagOr<std::uint64_t>(args, "queue-depth", 256, 1);
   opts.cache_bytes = FlagOr<std::uint64_t>(args, "cache-mb", 64, 0,
                                            std::uint64_t{1} << 40)
@@ -859,11 +889,11 @@ int CmdServe(const Args& args) {
   wspec.seed = FlagOr<std::uint64_t>(args, "seed", 42);
   const auto total_queries = FlagOr<std::int64_t>(args, "queries", 20000, 1);
   const auto clients = static_cast<int>(
-      FlagOr<std::uint32_t>(args, "clients", 8, 1, kIntMax));
+      FlagOr<std::uint32_t>(args, "clients", 8, 1, kThreadBudget));
 
   ShardedServeOptions sharded;
   sharded.shards = static_cast<int>(
-      FlagOr<std::uint32_t>(args, "shards", 1, 1, kIntMax));
+      FlagOr<std::uint32_t>(args, "shards", 1, 1, kThreadBudget));
   if (sharded.shards == 1) {
     RefuseFlags(args,
                 {"fault-plan", "per-try-ms", "retries", "hedge-ms",
@@ -904,6 +934,14 @@ int CmdServe(const Args& args) {
       Usage("--snapshot-dir must not be the --cube directory");
     }
   }
+  // The clients, the servers, and the refresh thread when refreshing.
+  const bool refreshing = sharded.refresh_every > 0;
+  CheckThreads({"--workers", "--clients", "--shards"},
+               clients + (sharded.shards == 1
+                              ? opts.workers
+                              : ShardSetThreads(sharded.shards, opts.workers,
+                                                refreshing) +
+                                    (refreshing ? 1 : 0)));
 
   const ViewStore store(args.Require("cube"));
   const Schema schema = store.LoadManifest().schema;
@@ -970,14 +1008,21 @@ void ParseChaosFlags(const Args& args, chaos::SearchOptions& opts) {
 }
 
 // ParseChaosFlags plus the serve and refresh searches' --requests and
-// --shards.
+// --shards. A trial's shard set hosts up to three epochs in the refresh
+// search.
 void ParseServingChaosFlags(const Args& args,
-                            chaos::ServingSearchOptions& opts) {
+                            chaos::ServingSearchOptions& opts,
+                            bool refreshing) {
   ParseChaosFlags(args, opts);
   opts.requests = static_cast<int>(
       FlagOr<std::uint32_t>(args, "requests", opts.requests, 1, kIntMax));
   if (const auto shards = args.Get("shards")) {
-    opts.shard_counts = ParseFlagList<int>("--shards", *shards, 2);
+    opts.shard_counts = ParseFlagList<int>("--shards", *shards, 2,
+                                           static_cast<int>(kThreadBudget));
+  }
+  for (const int n : opts.shard_counts) {
+    CheckThreads({"--shards"},
+                 ShardSetThreads(n, chaos::kTrialWorkers, refreshing));
   }
 }
 
@@ -1016,18 +1061,19 @@ int CmdChaos(const Args& args) {
   }
   if (refresh) {
     chaos::RefreshChaosOptions opts;
-    ParseServingChaosFlags(args, opts);
+    ParseServingChaosFlags(args, opts, /*refreshing=*/true);
     return ReportChaos(args, chaos::RunRefreshChaosSearch(opts));
   }
   if (serve) {
     chaos::ServeChaosOptions opts;
-    ParseServingChaosFlags(args, opts);
+    ParseServingChaosFlags(args, opts, /*refreshing=*/false);
     return ReportChaos(args, chaos::RunServeChaosSearch(opts));
   }
   chaos::ChaosOptions opts;
   ParseChaosFlags(args, opts);
   if (const auto procs = args.Get("procs")) {
-    opts.procs = ParseFlagList<int>("--procs", *procs, 2);
+    opts.procs = ParseFlagList<int>("--procs", *procs, 2,
+                                    static_cast<int>(kThreadBudget));
   }
   return ReportChaos(args, chaos::RunBuildChaosSearch(opts));
 }
@@ -1052,8 +1098,8 @@ int main(int argc, char** argv) {
       {"build",
        CmdBuild,
        {{"in", "out", "procs", "threads-per-rank", "views", "fraction",
-         "gamma", "checkpoint-dir", "fault-plan", "trace-out", "summary-out"},
-        {"local-trees"}}},
+         "gamma", "fault-plan", "trace-out", "summary-out"},
+        {"local-trees", "resume"}}},
       {"info", CmdInfo, {{"cube"}, {}}},
       {"query",
        CmdQuery,
