@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the sequential kernels: relation
 // sort, pipelined multi-view aggregation vs naive per-view sorting, external
-// sort spill, Hungarian matching, schedule-tree construction, the view
+// sort, Hungarian matching, schedule-tree construction, the view
 // frame codec with the refresh's packed merge, and the query engine on each
 // of its paths — plus, when no --benchmark_filter is given, a wall-clock
 // sweep of the exec runtime's ParallelSort against the serial sort
@@ -73,18 +73,6 @@ void BM_ExternalSortInMemory(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ExternalSortInMemory)->Arg(50000);
-
-void BM_ExternalSortSpill(benchmark::State& state) {
-  const Relation rel = MakeData(state.range(0), 4, 64, 4);
-  const auto cols = IdentityOrder(4);
-  for (auto _ : state) {
-    // Tiny memory budget forces run formation + multiway merge.
-    DiskModel disk({.block_bytes = 16 * 1024, .memory_bytes = 128 * 1024});
-    benchmark::DoNotOptimize(ExternalSort(rel, cols, disk));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ExternalSortSpill)->Arg(50000);
 
 void BM_HungarianMatching(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -73,7 +73,8 @@ Verdict ChaosTrial::BuildOnce(const FaultPlan& plan, const std::string& dir,
 
   Cluster cluster(procs_);
   if (!plan.empty()) cluster.set_fault_plan(plan);
-  PartitionWriter writer(ViewStore(dir), schema, selected, procs_, resume);
+  PartitionWriter writer(ViewStore(dir), schema, GenerateDataset(spec),
+                         selected, procs_, resume);
   ParallelCubeOptions build_opts;
   writer.Attach(build_opts);
   try {

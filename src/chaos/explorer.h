@@ -37,8 +37,8 @@ struct ChaosOptions : SearchOptions {
 
 // Draws one random plan of kills, stragglers and transient disk errors for
 // a p-rank cluster; never empty, seeded from `rng` (deterministic). A build
-// writes no file through a rank's disk at trial sizes, so bit flips and
-// torn writes, which strike only spilled sort runs there, are not drawn.
+// writes no byte through a rank's disk, so bit flips and torn writes, which
+// strike only such writes, are not drawn.
 // Exposed for tests.
 FaultPlan RandomPlan(Rng& rng, int procs);
 

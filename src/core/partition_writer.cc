@@ -1,15 +1,64 @@
 #include "core/partition_writer.h"
 
+#include <cstdio>
+#include <span>
 #include <utility>
 
+#include "common/crc32c.h"
 #include "common/status.h"
+#include "io/checked_file.h"
 #include "lattice/lattice.h"
 
 namespace sncube {
+namespace {
+
+// The text of a build's input record: the facts' shape and the CRC32Cs of
+// their keys and of their measures, read in place, then the selected
+// views' masks.
+std::string InputRecord(const Relation& facts,
+                        const std::vector<ViewId>& selected) {
+  const std::span<const Key> keys(
+      facts.raw_keys(), facts.size() * static_cast<std::size_t>(facts.width()));
+  char text[96];
+  std::snprintf(text, sizeof(text), "input %zu %d %08x %08x views",
+                facts.size(), facts.width(), Crc32c(std::as_bytes(keys)),
+                Crc32c(std::as_bytes(facts.measures())));
+  std::string record = text;
+  for (const ViewId id : selected) {
+    std::snprintf(text, sizeof(text), " %x", id.mask());
+    record += text;
+  }
+  return record;
+}
+
+[[noreturn]] void RefuseResume(const ViewStore& store, const std::string& why) {
+  throw SncubeError("cannot resume the build in " + store.dir().string() +
+                    ": " + why + "; build it again without resuming");
+}
+
+}  // namespace
 
 PartitionWriter::Written PartitionWriter::FindWritten(
-    const ViewStore& store, const std::vector<ViewId>& selected, int d) {
-  Written written;
+    const ViewStore& store, std::string input,
+    const std::vector<ViewId>& selected, int d) {
+  const auto path = store.dir() / ViewStore::kBuildInputName;
+  const bool recorded = std::filesystem::exists(path);
+  if (recorded) {
+    ByteBuffer bytes;
+    try {
+      DiskModel disk;
+      bytes = ReadSealedFile(path, disk);
+    } catch (const SncubeCorruptionError& e) {
+      RefuseResume(store, "its input record is damaged (" +
+                              std::string(e.what()) + ")");
+    }
+    if (std::string(reinterpret_cast<const char*>(bytes.data()),
+                    bytes.size()) != input) {
+      RefuseResume(store, "it was started with another input or view "
+                          "selection");
+    }
+  }
+  Written written{std::move(input), {}, {}};
   const auto partitions = PartitionViews(selected, d);
   for (int i = 0; i < d; ++i) {
     std::vector<ViewEntry> entries;
@@ -23,23 +72,34 @@ PartitionWriter::Written PartitionWriter::FindWritten(
     written.entries.insert(written.entries.end(), entries.begin(),
                            entries.end());
   }
+  if (!recorded && !written.partitions.empty()) {
+    RefuseResume(store, "its view files have no input record to check them "
+                        "against");
+  }
   return written;
 }
 
 PartitionWriter::PartitionWriter(const ViewStore& store, const Schema& schema,
+                                 const Relation& facts,
                                  const std::vector<ViewId>& selected,
                                  int procs, bool resume)
-    : PartitionWriter(store, schema, procs,
-                      resume ? FindWritten(store, selected, schema.dims())
-                             : Written{}) {}
+    : PartitionWriter(
+          store, schema, procs,
+          resume ? FindWritten(store, InputRecord(facts, selected), selected,
+                               schema.dims())
+                 : Written{InputRecord(facts, selected), {}, {}}) {}
 
 PartitionWriter::PartitionWriter(const ViewStore& store, const Schema& schema,
                                  int procs, Written written)
-    : procs_(procs),
+    : input_path_(store.dir() / ViewStore::kBuildInputName),
+      procs_(procs),
       kept_(std::move(written.partitions)),
       writer_(store, schema, written.entries) {
   SNCUBE_CHECK(procs_ >= 1);
   for (const ViewEntry& entry : written.entries) rows_ += entry.rows;
+  // The writer's Clear removed any earlier record.
+  DiskModel disk;
+  WriteSealedFile(input_path_, std::as_bytes(std::span(written.input)), disk);
 }
 
 void PartitionWriter::Attach(ParallelCubeOptions& opts) {
@@ -83,6 +143,7 @@ void PartitionWriter::Commit() {
   MutexLock lock(mu_);
   SNCUBE_CHECK_MSG(pending_.empty(), "a partition lacks a rank's shard");
   writer_.Commit();
+  std::filesystem::remove(input_path_);
 }
 
 void PartitionWriter::Abandon() {

@@ -11,19 +11,29 @@
 // and frees them. The caller commits once Cluster::Run returns, so the
 // MANIFEST appears only with the whole cube.
 //
-// A build that dies leaves the files of its finished partitions and no
-// MANIFEST, which readers refuse. A resumed build, with the same input and
-// flags at any rank count (the bytes do not depend on it), keeps every
-// partition whose view files all verify, removes every other view file,
-// and skips the kept partitions: each partition is computed from the raw
-// input alone, so no later partition needs an earlier one's views. The
-// kept files are indexed from their frame headers, so the MANIFEST is the
-// one a fresh build writes.
+// Before the first partition, the writer names the build's input in a
+// sealed file beside the views (ViewStore::kBuildInputName): a checksum of
+// the facts, in the build's column order, and the selected views. The
+// commit removes it, so a finished directory holds the same files at any
+// rank count.
+//
+// A build that dies leaves that record, the files of its finished
+// partitions and no MANIFEST, which readers refuse. A resumed build, at any
+// rank count (the bytes do not depend on it), first checks the record: it
+// refuses, changing nothing, when the record is damaged, names another
+// input or view selection, or is missing while view files it would keep
+// verify. Then it keeps every partition whose view files all verify,
+// removes every other view file, and skips the kept partitions: each
+// partition is computed from the raw input alone, so no later partition
+// needs an earlier one's views. The kept files are indexed from their
+// frame headers, so the MANIFEST is the one a fresh build writes.
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/mutex.h"
@@ -35,10 +45,14 @@ namespace sncube {
 
 class PartitionWriter {
  public:
-  // Starts epoch 0 of `store` for a `procs`-rank build of `selected`. With
-  // `resume`, the partitions an interrupted build finished stay.
+  // Starts epoch 0 of `store` for a `procs`-rank build of `selected` over
+  // `facts` (the whole input, in the schema's column order) and writes the
+  // input record. With `resume`, the partitions an interrupted build of the
+  // same facts and views finished stay; throws SncubeError, leaving the
+  // directory as it is, when the record does not tie them to this build.
   PartitionWriter(const ViewStore& store, const Schema& schema,
-                  const std::vector<ViewId>& selected, int procs, bool resume);
+                  const Relation& facts, const std::vector<ViewId>& selected,
+                  int procs, bool resume);
   // The sink Attach installs holds this object's address.
   PartitionWriter(const PartitionWriter&) = delete;
   PartitionWriter& operator=(const PartitionWriter&) = delete;
@@ -55,24 +69,29 @@ class PartitionWriter {
   std::uint64_t rows() const;
 
   // Appends the `prepare` and `commit` records, once every rank has
-  // delivered every partition it computed.
+  // delivered every partition it computed, then removes the input record.
   void Commit();
-  // Leaves the written files and no MANIFEST, as a crash would, so a
-  // resumed build can keep them.
+  // Leaves the written files, the input record and no MANIFEST, as a crash
+  // would, so a resumed build can keep them.
   void Abandon();
 
  private:
-  // The partitions of `selected` whose files in `store` all verify.
+  // The build's input record, and the partitions of its views whose files
+  // in the store all verify (none for a fresh build).
   struct Written {
+    std::string input;
     std::set<int> partitions;
     std::vector<ViewEntry> entries;
   };
-  static Written FindWritten(const ViewStore& store,
+  // Checks the store's input record against `input` (throwing as the
+  // public constructor documents), then finds the written partitions.
+  static Written FindWritten(const ViewStore& store, std::string input,
                              const std::vector<ViewId>& selected, int d);
 
   PartitionWriter(const ViewStore& store, const Schema& schema, int procs,
                   Written written);
 
+  const std::filesystem::path input_path_;
   const int procs_;
   const std::set<int> kept_;
   mutable Mutex mu_;

@@ -317,21 +317,4 @@ Relation MergeSortedRunsAuto(const std::vector<Relation>& runs,
   return ParallelMergeSortedRuns(runs, cols, pool);
 }
 
-double GreedyMakespan(std::span<const double> chunk_costs, int workers) {
-  if (workers <= 1) {
-    double total = 0;
-    for (double c : chunk_costs) total += c;
-    return total;
-  }
-  std::vector<double> load(static_cast<std::size_t>(workers), 0.0);
-  for (double c : chunk_costs) {
-    std::size_t best = 0;
-    for (std::size_t w = 1; w < load.size(); ++w) {
-      if (load[w] < load[best]) best = w;
-    }
-    load[best] += c;
-  }
-  return *std::max_element(load.begin(), load.end());
-}
-
 }  // namespace sncube::exec

@@ -25,9 +25,7 @@
 // algorithms move the records their serial counterparts do, plus log2(W)
 // merge rounds of n each, so callers keep charging the serial work formula
 // (n·log2 n records for a sort) and divide by the thread count for the
-// span — see Comm::ChargeParallelCpu. GreedyMakespan is the span model for
-// ragged chunk regions (external-sort run formation), where work/threads
-// underestimates the critical path.
+// span — see Comm::ChargeParallelCpu.
 #pragma once
 
 #include <cstdint>
@@ -57,12 +55,5 @@ Relation ParallelMergeSortedRuns(const std::vector<Relation>& runs,
 Relation SortRelationAuto(const Relation& rel, std::span<const int> cols);
 Relation MergeSortedRunsAuto(const std::vector<Relation>& runs,
                              std::span<const int> cols);
-
-// Critical-path seconds of deterministic list scheduling: tasks are placed
-// in submission order, each on the currently least-loaded of `workers`
-// contexts (ties → lowest index). This is the span charged for parallel
-// regions whose chunk costs are ragged; for uniform chunks it reduces to
-// ceil(k/workers)·cost, and with workers == 1 it is exactly the sum.
-double GreedyMakespan(std::span<const double> chunk_costs, int workers);
 
 }  // namespace sncube::exec

@@ -30,19 +30,4 @@ WriteFault DiskModel::TakeWriteFault(std::size_t bytes) {
   return fault_hook_->NextWriteFault(bytes);
 }
 
-int DiskModel::MergePasses(std::size_t bytes) const {
-  if (bytes <= params_.memory_bytes) return 0;
-  const std::uint64_t runs =
-      (bytes + params_.memory_bytes - 1) / params_.memory_bytes;
-  const std::uint64_t fan_in = params_.memory_bytes / params_.block_bytes;
-  SNCUBE_CHECK_MSG(fan_in >= 2, "memory must hold at least two blocks");
-  int passes = 0;
-  std::uint64_t remaining = runs;
-  while (remaining > 1) {
-    remaining = (remaining + fan_in - 1) / fan_in;
-    ++passes;
-  }
-  return passes;
-}
-
 }  // namespace sncube

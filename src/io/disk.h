@@ -82,10 +82,6 @@ class DiskModel {
 
   void Reset() { blocks_read_ = blocks_written_ = 0; }
 
-  // Number of merge passes an external sort of `bytes` needs (0 when the
-  // data fits in memory): ceil(log_f(runs)) with fan-in f = m/B - 1.
-  int MergePasses(std::size_t bytes) const;
-
  private:
   DiskParams params_;
   DiskFaultHook* fault_hook_ = nullptr;

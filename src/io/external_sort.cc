@@ -1,206 +1,75 @@
 #include "io/external_sort.h"
 
 #include <algorithm>
-#include <cstring>
-#include <memory>
-#include <queue>
 #include <vector>
 
-#include "common/status.h"
 #include "exec/parallel_algo.h"
-#include "exec/task_pool.h"
 #include "obs/trace.h"
-#include "relation/sort.h"
 
 namespace sncube {
 namespace {
 
-void SerializeRow(const Key* keys, int width, Measure m, ByteBuffer& out) {
-  const std::size_t kb = sizeof(Key) * static_cast<std::size_t>(width);
-  const std::size_t off = out.size();
-  out.resize(off + kb + sizeof(Measure));
-  std::memcpy(out.data() + off, keys, kb);
-  std::memcpy(out.data() + off + kb, &m, sizeof(m));
+std::size_t CeilDiv(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
+
+// Charges the block transfers of an external sort of `rows` rows of
+// `row_bytes` each that do not fit in working memory, one op per run read
+// or written. The runs are tracked by their sizes only: no row moves.
+void ChargeSpill(DiskModel& disk, std::size_t rows, std::size_t row_bytes) {
+  const std::size_t block = disk.params().block_bytes;
+  const std::size_t memory = disk.params().memory_bytes;
+  // A run is read in refills of one block's worth of whole rows (at least
+  // one row), each refill costing its own whole blocks.
+  const std::size_t refill =
+      std::max<std::size_t>(1, block / row_bytes) * row_bytes;
+  const auto read_run = [&](std::size_t bytes) {
+    disk.ChargeRead((bytes / refill * CeilDiv(refill, block) +
+                     CeilDiv(bytes % refill, block)) *
+                    block);
+  };
+
+  // Run formation: each memory-load of rows is read, sorted and written
+  // back as one run.
+  const std::size_t run_rows = std::max<std::size_t>(1, memory / row_bytes);
+  std::vector<std::size_t> runs;
+  for (std::size_t begin = 0; begin < rows; begin += run_rows) {
+    const std::size_t bytes = std::min(run_rows, rows - begin) * row_bytes;
+    disk.ChargeRead(bytes);
+    disk.ChargeWrite(bytes);
+    runs.push_back(bytes);
+  }
+
+  // Merge passes: m/B - 1 input blocks and one output block fill memory,
+  // and each merge takes at least two runs.
+  const std::size_t fan_in = std::max<std::size_t>(3, memory / block) - 1;
+  while (runs.size() > 1) {
+    std::vector<std::size_t> merged;
+    for (std::size_t g = 0; g < runs.size(); g += fan_in) {
+      std::size_t bytes = 0;
+      for (std::size_t i = g; i < std::min(runs.size(), g + fan_in); ++i) {
+        read_run(runs[i]);
+        bytes += runs[i];
+      }
+      disk.ChargeWrite(bytes);
+      merged.push_back(bytes);
+    }
+    runs.swap(merged);
+  }
+  read_run(runs[0]);  // the consumer's read of the sorted output
 }
 
 }  // namespace
 
 Relation ExternalSort(const Relation& input, std::span<const int> cols,
-                      DiskModel& disk, RunStore* store,
-                      ExternalSortStats* stats) {
+                      DiskModel& disk) {
   SNCUBE_TRACE_SPAN("external-sort");
-  const DiskParams& dp = disk.params();
   const std::size_t bytes = input.ByteSize();
-
-  if (bytes <= dp.memory_bytes) {
-    // Fits in memory: one read of the input, one write of the output. The
-    // sort dispatches to the rank's exec pool when one is installed.
+  if (bytes <= disk.params().memory_bytes) {
     disk.ChargeRead(bytes);
-    Relation out = exec::SortRelationAuto(input, cols);
-    disk.ChargeWrite(out.ByteSize());
-    if (stats != nullptr) {
-      *stats = {.runs_formed = 1, .merge_passes = 0, .in_memory = true};
-    }
-    return out;
-  }
-
-  MemoryRunStore fallback;
-  RunStore& rs = (store != nullptr) ? *store : fallback;
-
-  const std::size_t row_bytes = input.RowBytes();
-  const std::size_t rows_per_run =
-      std::max<std::size_t>(1, dp.memory_bytes / row_bytes);
-
-  // Phase 1: run formation. Each memory-load of input is read, sorted, and
-  // written back as one sorted, sealed run. Chunk boundaries depend only on
-  // rows_per_run (the memory budget), never on the thread count, so the
-  // runs — and everything downstream — are byte-identical in both modes.
-  std::vector<int> runs;
-  std::vector<RunSeal> seals;
-  exec::TaskPool* pool = exec::CurrentPool();
-  if (pool != nullptr && pool->threads() > 1 &&
-      input.size() > rows_per_run) {
-    // Pooled run formation: charge all chunk reads up front in chunk order,
-    // sort the chunks concurrently on the pool, then seal the runs serially
-    // — every DiskModel charge (and with it every fault-injection site)
-    // stays on the rank thread in a deterministic order.
-    std::vector<std::size_t> bounds;
-    for (std::size_t begin = 0; begin < input.size(); begin += rows_per_run) {
-      bounds.push_back(begin);
-    }
-    bounds.push_back(input.size());
-    const std::size_t k = bounds.size() - 1;
-    std::vector<Relation> chunks;
-    chunks.reserve(k);
-    for (std::size_t c = 0; c < k; ++c) {
-      Relation chunk(input.width());
-      chunk.Reserve(bounds[c + 1] - bounds[c]);
-      for (std::size_t r = bounds[c]; r < bounds[c + 1]; ++r) {
-        chunk.AppendRow(input, r);
-      }
-      disk.ChargeRead(chunk.ByteSize());
-      chunks.push_back(std::move(chunk));
-    }
-    std::vector<Relation> sorted_chunks(k);
-    {
-      exec::TaskGroup group(pool);
-      for (std::size_t c = 0; c < k; ++c) {
-        group.Run([&chunks, &sorted_chunks, cols, c] {
-          sorted_chunks[c] = SortRelation(chunks[c], cols);
-        });
-      }
-      group.Wait();
-    }
-    for (std::size_t c = 0; c < k; ++c) {
-      const int run = rs.CreateRun();
-      RunWriter writer(rs, disk, run, dp.block_bytes);
-      ByteBuffer serialized = SerializeRelation(sorted_chunks[c]);
-      writer.Write(serialized);
-      runs.push_back(run);
-      seals.push_back(writer.Finish());
-    }
+    disk.ChargeWrite(bytes);
   } else {
-    for (std::size_t begin = 0; begin < input.size(); begin += rows_per_run) {
-      const std::size_t end = std::min(input.size(), begin + rows_per_run);
-      Relation chunk(input.width());
-      chunk.Reserve(end - begin);
-      for (std::size_t r = begin; r < end; ++r) chunk.AppendRow(input, r);
-      disk.ChargeRead(chunk.ByteSize());
-      Relation sorted = SortRelation(chunk, cols);
-
-      const int run = rs.CreateRun();
-      RunWriter writer(rs, disk, run, dp.block_bytes);
-      ByteBuffer serialized = SerializeRelation(sorted);
-      writer.Write(serialized);
-      runs.push_back(run);
-      seals.push_back(writer.Finish());
-    }
+    ChargeSpill(disk, input.size(), input.RowBytes());
   }
-  const std::size_t runs_formed = runs.size();
-
-  // Phase 2: repeated fan-in-way merge until one run remains. The fan-in is
-  // m/B - 1 input buffers (one block each) plus one output buffer.
-  const std::size_t fan_in = std::max<std::size_t>(
-      2, dp.memory_bytes / dp.block_bytes > 1
-             ? dp.memory_bytes / dp.block_bytes - 1
-             : 2);
-  int merge_passes = 0;
-  while (runs.size() > 1) {
-    ++merge_passes;
-    std::vector<int> next;
-    std::vector<RunSeal> next_seals;
-    for (std::size_t g = 0; g < runs.size(); g += fan_in) {
-      const std::size_t ge = std::min(runs.size(), g + fan_in);
-      std::vector<std::unique_ptr<RunReader>> readers;
-      readers.reserve(ge - g);
-      for (std::size_t i = g; i < ge; ++i) {
-        readers.push_back(std::make_unique<RunReader>(
-            rs, disk, runs[i], input.width(), dp.block_bytes, seals[i]));
-      }
-      const int out_run = rs.CreateRun();
-      RunWriter writer(rs, disk, out_run, dp.block_bytes);
-
-      // Tournament by index into `readers`. Ties broken by reader index so
-      // the merge is stable across equal keys.
-      auto less = [&](std::size_t a, std::size_t b) {
-        const Key* ka = readers[a]->keys();
-        const Key* kb = readers[b]->keys();
-        for (int c : cols) {
-          if (ka[c] != kb[c]) return ka[c] < kb[c];
-        }
-        return a < b;
-      };
-      std::vector<std::size_t> heap;
-      for (std::size_t i = 0; i < readers.size(); ++i) {
-        if (!readers[i]->exhausted()) heap.push_back(i);
-      }
-      auto heap_cmp = [&](std::size_t a, std::size_t b) { return less(b, a); };
-      std::make_heap(heap.begin(), heap.end(), heap_cmp);
-
-      ByteBuffer row;
-      while (!heap.empty()) {
-        std::pop_heap(heap.begin(), heap.end(), heap_cmp);
-        const std::size_t idx = heap.back();
-        heap.pop_back();
-        row.clear();
-        SerializeRow(readers[idx]->keys(), input.width(),
-                     readers[idx]->measure(), row);
-        writer.Write(row);
-        readers[idx]->Advance();
-        if (!readers[idx]->exhausted()) {
-          heap.push_back(idx);
-          std::push_heap(heap.begin(), heap.end(), heap_cmp);
-        }
-      }
-      for (std::size_t i = g; i < ge; ++i) rs.Free(runs[i]);
-      next.push_back(out_run);
-      next_seals.push_back(writer.Finish());
-    }
-    runs.swap(next);
-    seals.swap(next_seals);
-  }
-
-  // Materialize the final run (charged as the consumer's read).
-  Relation out(input.width());
-  out.Reserve(input.size());
-  {
-    RunReader reader(rs, disk, runs[0], input.width(), dp.block_bytes,
-                     seals[0]);
-    std::vector<Key> keys(static_cast<std::size_t>(input.width()));
-    while (!reader.exhausted()) {
-      std::memcpy(keys.data(), reader.keys(), keys.size() * sizeof(Key));
-      out.Append(keys, reader.measure());
-      reader.Advance();
-    }
-    rs.Free(runs[0]);
-  }
-
-  if (stats != nullptr) {
-    *stats = {.runs_formed = runs_formed,
-              .merge_passes = merge_passes,
-              .in_memory = false};
-  }
-  return out;
+  return exec::SortRelationAuto(input, cols);
 }
 
 }  // namespace sncube

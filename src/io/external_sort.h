@@ -1,38 +1,25 @@
-// External-memory sort (Vitter [22]): run formation + k-way merge.
+// External-memory sort (Vitter [22]), as the clock sees it.
 //
 // This is the "external memory sort" local-disk primitive of the paper's
-// machine model (Section 2). The sorter stages data through a RunStore (RAM
-// or real temp files), charges every block transfer to the processor's
-// DiskModel, and achieves the textbook O((n/B)·log_{m/B}(n/B)) transfer
-// bound: one pass to form memory-sized sorted runs, then (m/B)-way merge
-// passes until one run remains.
+// machine model (Section 2). The rows are sorted in memory whatever their
+// size; what the budget decides is the charge. Input that fits in working
+// memory m costs one read and one write of its bytes. Larger input is
+// charged the block transfers of the textbook external sort, which meet the
+// O((n/B)·log_{m/B}(n/B)) bound: one pass that forms m-sized sorted runs,
+// then (m/B − 1)-way merge passes until one run remains, which the
+// consumer reads.
 #pragma once
 
-#include <cstddef>
 #include <span>
 
 #include "io/disk.h"
-#include "io/run_store.h"
 #include "relation/relation.h"
 
 namespace sncube {
 
-struct ExternalSortStats {
-  std::size_t runs_formed = 0;
-  int merge_passes = 0;
-  bool in_memory = false;  // true when the input fit in working memory
-};
-
-// Sorts `input` by column order `cols` (stable). Block transfers are charged
-// to `disk`. When `store` is null a MemoryRunStore is used. `stats`, when
-// non-null, receives what the sorter did.
+// Sorts `input` by column order `cols` (stable) on the rank's exec pool,
+// when one is installed, and charges the block transfers to `disk`.
 Relation ExternalSort(const Relation& input, std::span<const int> cols,
-                      DiskModel& disk, RunStore* store = nullptr,
-                      ExternalSortStats* stats = nullptr);
-
-// Charges the block transfers of a linear scan of `bytes` (read only).
-inline void ChargeLinearScan(DiskModel& disk, std::size_t bytes) {
-  disk.ChargeRead(bytes);
-}
+                      DiskModel& disk);
 
 }  // namespace sncube

@@ -75,11 +75,8 @@ void Comm::ChargeSortRecords(std::uint64_t n) {
 void Comm::ChargeParallelCpu(double work_seconds) {
   // Brent bound span; division by 1.0 is exact, so with one thread this
   // charges bit-identical seconds to ChargeCpu(work_seconds).
-  ChargeParallelCpu(work_seconds,
-                    work_seconds / static_cast<double>(threads_per_rank_));
-}
-
-void Comm::ChargeParallelCpu(double work_seconds, double span_seconds) {
+  const double span_seconds =
+      work_seconds / static_cast<double>(threads_per_rank_);
   // Work/span accounting only once a pool actually exists: a serial run's
   // phase stats (and every table derived from them) stay exactly as they
   // were before the exec runtime.

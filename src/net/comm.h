@@ -65,16 +65,14 @@ class Comm : public obs::SimClockSource {
   int threads_per_rank() const { return threads_per_rank_; }
 
   // Charges a parallel region that executed `work_seconds` of total CPU on
-  // the rank's exec pool. The BSP clock advances by the critical path only:
-  // the two-argument form takes a caller-computed span (e.g. exec::
-  // GreedyMakespan over ragged chunk costs); the one-argument form uses the
-  // Brent bound work/threads_per_rank, which is exact for the balanced
-  // divide-and-conquer kernels in src/exec. Work and span both land in the
-  // phase stats (PhaseStats::par_work_s / par_span_s) so breakdowns can
-  // show parallel efficiency. With threads_per_rank == 1 this is exactly
-  // ChargeCpu(work_seconds) — bit-identical serial accounting.
+  // the rank's exec pool. The BSP clock advances by the critical path only,
+  // the Brent bound span work/threads_per_rank, which is exact for the
+  // balanced divide-and-conquer kernels in src/exec. Work and span both
+  // land in the phase stats (PhaseStats::par_work_s / par_span_s) so
+  // breakdowns can show parallel efficiency. With threads_per_rank == 1
+  // this is exactly ChargeCpu(work_seconds) — bit-identical serial
+  // accounting.
   void ChargeParallelCpu(double work_seconds);
-  void ChargeParallelCpu(double work_seconds, double span_seconds);
   // Parallel-region variant of ChargeSortRecords: same n·log2(n) work,
   // charged at span = work / threads_per_rank.
   void ChargeSortRecordsParallel(std::uint64_t n);

@@ -38,8 +38,8 @@
 // Refresh clauses target the online-refresh coordinator (src/refresh). The
 // coordinator acts as rank 0 of its own injector, so bitflip/tornwrite
 // clauses for rank 0 corrupt its store's segment and MANIFEST writes after
-// they are sealed. (In a build, bitflip/tornwrite strike only the sealed
-// external-sort runs a rank spills.)
+// they are sealed. (A build writes nothing through a rank's disk, so there
+// bitflip/tornwrite strike nothing.)
 //
 //   refreshkill:<phase>       the refresh coordinator crashes (throws
 //                             InjectedFaultError) on entry to two-phase-swap

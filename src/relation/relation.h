@@ -127,6 +127,8 @@ class Relation {
 
   // Direct access to the flat key storage (hot-path sorting only).
   const Key* raw_keys() const { return keys_.data(); }
+  // The measures in row order.
+  std::span<const Measure> measures() const { return measures_; }
   // Mutable flat key storage, for bulk writers that Resize first.
   Key* mutable_raw_keys() { return keys_.data(); }
 

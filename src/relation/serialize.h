@@ -1,5 +1,5 @@
 // Row (de)serialization: the wire format used for every inter-processor
-// transfer and for on-disk spill files.
+// transfer.
 //
 // A row of width w serializes to w little-endian uint32 keys followed by an
 // int64 measure — the same 4w+8 bytes Relation::RowBytes() reports, so

@@ -390,6 +390,7 @@ std::optional<ViewEntry> ViewStore::VerifyBuildFile(ViewId id) const {
 void ViewStore::Clear(std::span<const ViewEntry> keep) const {
   std::filesystem::create_directories(dir_);
   std::filesystem::remove(dir_ / kManifestName);
+  std::filesystem::remove(dir_ / kBuildInputName);
   std::set<std::string> kept;
   for (const ViewEntry& entry : keep) kept.insert(FileOf(entry));
   for (const ViewFile& file : ListViewFiles(dir_)) {

@@ -100,6 +100,10 @@ class ViewStore {
   // SncubeIoError. (No backoff: a store has no clock to charge one to.)
   static constexpr int kMaxIoRetries = 4;
 
+  // The sealed file in which an unfinished parallel build names its input
+  // (core/partition_writer.h); its commit removes it.
+  static constexpr const char* kBuildInputName = "INPUT";
+
   // A handle on the store rooted at `dir`; nothing is read or created until
   // a method needs it. `disk`, when given, is borrowed: every file read and
   // write is charged to it and passes its fault hook, and transient errors
@@ -140,10 +144,10 @@ class ViewStore {
   // build adopts what an interrupted one wrote through this.
   std::optional<ViewEntry> VerifyBuildFile(ViewId id) const;
 
-  // Writer-side maintenance. Clear removes the MANIFEST, then every view
-  // file and segment (set-aside ones included) but the files of `keep`,
-  // creating the directory if needed. RemoveEpochsBelow removes the live
-  // files of every epoch below `epoch`.
+  // Writer-side maintenance. Clear removes the MANIFEST and the build's
+  // input record, then every view file and segment (set-aside ones
+  // included) but the files of `keep`, creating the directory if needed.
+  // RemoveEpochsBelow removes the live files of every epoch below `epoch`.
   void Clear(std::span<const ViewEntry> keep = {}) const;
   void RemoveEpochsBelow(std::uint64_t epoch) const;
 
@@ -185,7 +189,7 @@ class ViewStore::Writer {
   Writer(const ViewStore& store, Schema schema, std::uint64_t epoch = 0);
   // Starts epoch 0 over what an interrupted build left: the files of `kept`
   // (entries VerifyBuildFile returned) stay and count as written by this
-  // writer; the MANIFEST and every other view file go.
+  // writer; the MANIFEST, the input record and every other view file go.
   Writer(const ViewStore& store, Schema schema, std::vector<ViewEntry> kept);
   ~Writer();
   Writer(const Writer&) = delete;

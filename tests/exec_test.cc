@@ -255,22 +255,6 @@ TEST(ParallelAlgo, AutoVariantsDispatchOnCurrentPool) {
 }
 
 // ---------------------------------------------------------------------------
-// GreedyMakespan
-
-TEST(GreedyMakespan, Units) {
-  // One worker: the sum.
-  EXPECT_DOUBLE_EQ(exec::GreedyMakespan(std::vector<double>{1, 2, 3}, 1), 6.0);
-  // Uniform chunks, two workers: ceil(3/2) * 1.
-  EXPECT_DOUBLE_EQ(exec::GreedyMakespan(std::vector<double>{1, 1, 1}, 2), 2.0);
-  // Ragged: 5 goes to w0, 1+1 to w1 -> makespan 5 (not (5+2)/2).
-  EXPECT_DOUBLE_EQ(exec::GreedyMakespan(std::vector<double>{5, 1, 1}, 2), 5.0);
-  // More workers than tasks: the max.
-  EXPECT_DOUBLE_EQ(exec::GreedyMakespan(std::vector<double>{2, 4, 3}, 8), 4.0);
-  // Empty region costs nothing.
-  EXPECT_DOUBLE_EQ(exec::GreedyMakespan(std::vector<double>{}, 4), 0.0);
-}
-
-// ---------------------------------------------------------------------------
 // End-to-end: byte-identical cube and monotone simulated time
 
 DatasetSpec ExecSpec(std::int64_t rows) {

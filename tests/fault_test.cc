@@ -390,14 +390,16 @@ std::filesystem::path FreshDir(const std::string& tag) {
 // Builds `spec`'s full cube on `cluster` into `dir` through a
 // PartitionWriter, resuming what is there with `resume`. False when the
 // build aborted, which leaves the finished partitions' files. `stats`, when
-// given, gets rank 0's.
+// given, gets rank 0's. Without `commit` the finished build is abandoned
+// before its commit, as a kill there would leave it.
 bool BuildInto(Cluster& cluster, const std::filesystem::path& dir,
                const DatasetSpec& spec, bool resume,
-               ParallelCubeStats* stats = nullptr) {
+               ParallelCubeStats* stats = nullptr, bool commit = true) {
   const Schema schema = spec.MakeSchema();
   const std::vector<ViewId> selected = AllViews(schema.dims());
   const int p = cluster.size();
-  PartitionWriter writer(ViewStore(dir), schema, selected, p, resume);
+  PartitionWriter writer(ViewStore(dir), schema, GenerateDataset(spec),
+                         selected, p, resume);
   ParallelCubeOptions opts;
   writer.Attach(opts);
   try {
@@ -411,7 +413,11 @@ bool BuildInto(Cluster& cluster, const std::filesystem::path& dir,
     writer.Abandon();
     return false;
   }
-  writer.Commit();
+  if (commit) {
+    writer.Commit();
+  } else {
+    writer.Abandon();
+  }
   return true;
 }
 
@@ -465,10 +471,11 @@ TEST(FaultTolerance, KilledBuildRestartedFromCheckpointIsByteIdentical) {
 }
 
 // The resume crash matrix: a --procs 2 build killed after at least two of
-// its four partitions, then each view file it left deleted, truncated at
-// several offsets, or with one byte flipped at several offsets. The
-// resumed build recomputes exactly the damaged file's partition and leaves
-// the fault-free build's bytes.
+// its four partitions, then each file it left deleted, truncated at
+// several offsets, or with one byte flipped at several offsets. For a view
+// file the resumed build recomputes exactly the damaged file's partition
+// and leaves the fault-free build's bytes; for the input record it refuses
+// and leaves every byte of the directory as it was.
 TEST(CheckpointCrashPoints, AllTornWriteScenariosRestartByteIdentical) {
   DatasetSpec spec;
   spec.rows = 800;
@@ -492,6 +499,7 @@ TEST(CheckpointCrashPoints, AllTornWriteScenariosRestartByteIdentical) {
   }
   const DirBytes interrupted = ReadDir(killed);
   ASSERT_EQ(interrupted.count("MANIFEST"), 0u);
+  ASSERT_EQ(interrupted.count(ViewStore::kBuildInputName), 1u);
 
   const auto dir = FreshDir("matrix");
   // Resumes a copy of the interrupted directory after `damage` and checks
@@ -507,6 +515,18 @@ TEST(CheckpointCrashPoints, AllTornWriteScenariosRestartByteIdentical) {
         << what;
     EXPECT_EQ(ReadDir(dir), golden) << what;
     EXPECT_EQ(stats.partitions_skipped, want_skipped) << what;
+  };
+  // Resumes a copy after `damage` to the input record: refused, no byte
+  // changed.
+  const auto refused = [&](const std::string& what, const auto& damage) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::copy(killed, dir);
+    damage();
+    const DirBytes damaged = ReadDir(dir);
+    Cluster cluster(p);
+    EXPECT_THROW(BuildInto(cluster, dir, spec, /*resume=*/true), SncubeError)
+        << what;
+    EXPECT_EQ(ReadDir(dir), damaged) << what;
   };
 
   ParallelCubeStats undamaged;
@@ -524,15 +544,21 @@ TEST(CheckpointCrashPoints, AllTornWriteScenariosRestartByteIdentical) {
   for (const auto& [name, bytes] : interrupted) {
     const auto path = dir / name;
     const std::uintmax_t size = bytes.size();
-    resume(name + " deleted", written - 1,
-           [&] { std::filesystem::remove(path); });
+    const auto check = [&](const std::string& what, const auto& damage) {
+      if (name == ViewStore::kBuildInputName) {
+        refused(what, damage);
+      } else {
+        resume(what, written - 1, damage);
+      }
+    };
+    check(name + " deleted", [&] { std::filesystem::remove(path); });
     for (const std::uintmax_t keep : {std::uintmax_t{0}, std::uintmax_t{1},
                                       size / 2, size - 1}) {
-      resume(name + " truncated to " + std::to_string(keep), written - 1,
-             [&] { std::filesystem::resize_file(path, keep); });
+      check(name + " truncated to " + std::to_string(keep),
+            [&] { std::filesystem::resize_file(path, keep); });
     }
     for (const std::uintmax_t at : {std::uintmax_t{0}, size / 2, size - 1}) {
-      resume(name + " flipped at " + std::to_string(at), written - 1, [&] {
+      check(name + " flipped at " + std::to_string(at), [&] {
         std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
         f.seekg(static_cast<std::streamoff>(at));
         const char flipped = static_cast<char>(f.peek() ^ 0x20);
@@ -546,20 +572,38 @@ TEST(CheckpointCrashPoints, AllTornWriteScenariosRestartByteIdentical) {
 }
 
 // Every partition written and no MANIFEST (a kill after the last write,
-// before the commit): the resume skips every partition and writes only
-// the MANIFEST.
+// before the commit): a resume with another input or view selection is
+// refused and changes no byte; the build's own resume skips every
+// partition, writes only the MANIFEST and removes the input record.
 TEST(Checkpoint, FullyCheckpointedBuildRestoresEveryPartition) {
   DatasetSpec spec;
   spec.rows = 1200;
   spec.cardinalities = {10, 5, 3};
   spec.seed = 17;
-  const auto dir = FreshDir("full");
   Cluster cluster(2);
+  const auto ref_dir = FreshDir("full_ref");
+  ASSERT_TRUE(BuildInto(cluster, ref_dir, spec, /*resume=*/false));
+  const DirBytes golden = ReadDir(ref_dir);
+  std::filesystem::remove_all(ref_dir);
+
+  const auto dir = FreshDir("full");
   ParallelCubeStats first;
-  ASSERT_TRUE(BuildInto(cluster, dir, spec, /*resume=*/false, &first));
+  ASSERT_TRUE(BuildInto(cluster, dir, spec, /*resume=*/false, &first,
+                        /*commit=*/false));
   EXPECT_EQ(first.partitions_skipped, 0);
-  const DirBytes golden = ReadDir(dir);
-  std::filesystem::remove(dir / "MANIFEST");
+  EXPECT_FALSE(std::filesystem::exists(dir / "MANIFEST"));
+  const DirBytes interrupted = ReadDir(dir);
+
+  DatasetSpec other = spec;
+  other.seed = 18;
+  EXPECT_THROW(BuildInto(cluster, dir, other, /*resume=*/true), SncubeError);
+  EXPECT_EQ(ReadDir(dir), interrupted);
+  const Schema schema = spec.MakeSchema();
+  EXPECT_THROW(PartitionWriter(ViewStore(dir), schema, GenerateDataset(spec),
+                               {ViewId::Full(schema.dims())}, 2,
+                               /*resume=*/true),
+               SncubeError);
+  EXPECT_EQ(ReadDir(dir), interrupted);
 
   ParallelCubeStats second;
   ASSERT_TRUE(BuildInto(cluster, dir, spec, /*resume=*/true, &second));
@@ -573,7 +617,8 @@ TEST(Checkpoint, ShardsThatDisagreeOnAViewAreRefused) {
   const auto dir = FreshDir("disagree");
   const Schema schema({4, 3});
   const ViewId id = ViewId::FromDims({0, 1});
-  PartitionWriter writer(ViewStore(dir), schema, {id}, 2, /*resume=*/false);
+  PartitionWriter writer(ViewStore(dir), schema, Relation(2), {id}, 2,
+                         /*resume=*/false);
   for (int rank = 0; rank < 2; ++rank) {
     CubeResult part;
     ViewResult& view = part.views[id];

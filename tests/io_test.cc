@@ -1,19 +1,19 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <tuple>
-#include <vector>
-
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <span>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
+#include "exec/task_pool.h"
 #include "io/checked_file.h"
 #include "io/disk.h"
 #include "io/external_sort.h"
-#include "io/run_store.h"
 #include "relation/sort.h"
 
 namespace sncube {
@@ -40,183 +40,135 @@ TEST(DiskModel, ChargesWholeBlocks) {
   EXPECT_EQ(disk.blocks_total(), 4u);
 }
 
-TEST(DiskModel, MergePassesZeroWhenInMemory) {
-  DiskModel disk({.block_bytes = 100, .memory_bytes = 1000});
-  EXPECT_EQ(disk.MergePasses(900), 0);
-  EXPECT_EQ(disk.MergePasses(1000), 0);
-}
+// The blocks each sort below charges are pinned: they are the counts the
+// external sort charged when it still wrote its runs out and merged them
+// back row by row, so the charge computed from the geometry must not drift
+// from them.
+struct Blocks {
+  std::uint64_t read = 0;
+  std::uint64_t written = 0;
+};
 
-TEST(DiskModel, MergePassesLogarithmic) {
-  DiskModel disk({.block_bytes = 100, .memory_bytes = 1000});
-  // 10 000 bytes → 10 runs, fan-in 10 → 1 pass.
-  EXPECT_EQ(disk.MergePasses(10000), 1);
-  // 100 000 bytes → 100 runs → 2 passes.
-  EXPECT_EQ(disk.MergePasses(100000), 2);
-}
-
-template <typename Store>
-class RunStoreTest : public ::testing::Test {};
-
-using StoreTypes = ::testing::Types<MemoryRunStore, FileRunStore>;
-TYPED_TEST_SUITE(RunStoreTest, StoreTypes);
-
-TYPED_TEST(RunStoreTest, AppendAndReadBack) {
-  TypeParam store;
-  const int run = store.CreateRun();
-  const std::vector<std::byte> data{std::byte{1}, std::byte{2}, std::byte{3}};
-  store.Append(run, data);
-  store.Append(run, data);
-  EXPECT_EQ(store.Size(run), 6u);
-
-  std::vector<std::byte> out(4);
-  EXPECT_EQ(store.Read(run, 0, out), 4u);
-  EXPECT_EQ(out[3], std::byte{1});
-  EXPECT_EQ(store.Read(run, 4, out), 2u);
-  EXPECT_EQ(store.Read(run, 6, out), 0u);
-}
-
-TYPED_TEST(RunStoreTest, MultipleIndependentRuns) {
-  TypeParam store;
-  const int a = store.CreateRun();
-  const int b = store.CreateRun();
-  store.Append(a, std::vector<std::byte>{std::byte{7}});
-  store.Append(b, std::vector<std::byte>{std::byte{8}, std::byte{9}});
-  EXPECT_EQ(store.Size(a), 1u);
-  EXPECT_EQ(store.Size(b), 2u);
-  std::vector<std::byte> out(1);
-  store.Read(b, 1, out);
-  EXPECT_EQ(out[0], std::byte{9});
-}
-
-TYPED_TEST(RunStoreTest, FreeReleases) {
-  TypeParam store;
-  const int run = store.CreateRun();
-  store.Append(run, std::vector<std::byte>{std::byte{1}});
-  store.Free(run);
-  EXPECT_EQ(store.Size(run), 0u);
+// Sorts `rel` by `cols` under `params` serially and on a 4-thread pool; each
+// output must equal SortRelation's and charge `want`.
+void ExpectSort(const Relation& rel, std::span<const int> cols,
+                DiskParams params, Blocks want) {
+  for (const int threads : {1, 4}) {
+    exec::TaskPool pool(threads);
+    const exec::PoolScope scope(&pool);
+    DiskModel disk(params);
+    EXPECT_EQ(ExternalSort(rel, cols, disk), SortRelation(rel, cols))
+        << "W=" << threads;
+    EXPECT_EQ(disk.blocks_read(), want.read) << "W=" << threads;
+    EXPECT_EQ(disk.blocks_written(), want.written) << "W=" << threads;
+  }
 }
 
 TEST(ExternalSort, InMemoryPathMatchesStdSort) {
   Rng rng(1);
-  Relation rel = RandomRelation(3, 500, rng);
-  DiskModel disk;  // default 64 MiB memory — fits easily
-  const auto cols = IdentityOrder(3);
-  ExternalSortStats stats;
-  Relation sorted = ExternalSort(rel, cols, disk, nullptr, &stats);
-  EXPECT_TRUE(stats.in_memory);
-  EXPECT_EQ(sorted, SortRelation(rel, cols));
-  EXPECT_GT(disk.blocks_total(), 0u);
+  // Default 64 MiB memory: fits easily, one read and one write.
+  ExpectSort(RandomRelation(3, 500, rng), IdentityOrder(3), {}, {2, 2});
 }
 
 TEST(ExternalSort, SpillPathMatchesStdSort) {
   Rng rng(2);
-  Relation rel = RandomRelation(2, 2000, rng);
   // 16 bytes/row * 2000 = 32 000 bytes; 2 KiB memory forces ~16 runs.
-  DiskModel disk({.block_bytes = 256, .memory_bytes = 2048});
-  const auto cols = IdentityOrder(2);
-  ExternalSortStats stats;
-  Relation sorted = ExternalSort(rel, cols, disk, nullptr, &stats);
-  EXPECT_FALSE(stats.in_memory);
-  EXPECT_GT(stats.runs_formed, 1u);
-  EXPECT_EQ(sorted, SortRelation(rel, cols));
-}
-
-TEST(ExternalSort, SpillThroughRealFiles) {
-  Rng rng(3);
-  Relation rel = RandomRelation(2, 1500, rng);
-  DiskModel disk({.block_bytes = 256, .memory_bytes = 2048});
-  FileRunStore store;
-  const auto cols = IdentityOrder(2);
-  Relation sorted = ExternalSort(rel, cols, disk, &store);
-  EXPECT_EQ(sorted, SortRelation(rel, cols));
+  ExpectSort(RandomRelation(2, 2000, rng), IdentityOrder(2),
+             {.block_bytes = 256, .memory_bytes = 2048}, {500, 375});
 }
 
 TEST(ExternalSort, MultiPassMerge) {
   Rng rng(4);
-  Relation rel = RandomRelation(1, 4000, rng);
-  // 12 bytes/row * 4000 = 48 000 bytes; 1 KiB memory → ~47 runs; fan-in
-  // max(2, 1024/512-1)=2 → multiple merge passes.
-  DiskModel disk({.block_bytes = 512, .memory_bytes = 1024});
-  const auto cols = IdentityOrder(1);
-  ExternalSortStats stats;
-  Relation sorted = ExternalSort(rel, cols, disk, nullptr, &stats);
-  EXPECT_GT(stats.merge_passes, 1);
-  EXPECT_EQ(sorted, SortRelation(rel, cols));
+  // 12 bytes/row * 4000 = 48 000 bytes; 1 KiB memory → 48 runs; fan-in
+  // max(2, 1024/512-1)=2 → six merge passes.
+  ExpectSort(RandomRelation(1, 4000, rng), IdentityOrder(1),
+             {.block_bytes = 512, .memory_bytes = 1024}, {850, 662});
 }
 
 TEST(ExternalSort, BlockBudgetWithinVitterBound) {
   Rng rng(5);
-  const int rows = 8000;
-  Relation rel = RandomRelation(1, rows, rng);
-  DiskParams params{.block_bytes = 512, .memory_bytes = 4096};
-  DiskModel disk(params);
-  const auto cols = IdentityOrder(1);
-  ExternalSortStats stats;
-  ExternalSort(rel, cols, disk, nullptr, &stats);
+  const std::size_t rows = 8000;
+  const Relation rel = RandomRelation(1, static_cast<int>(rows), rng);
+  const DiskParams params{.block_bytes = 512, .memory_bytes = 4096};
+  ExpectSort(rel, IdentityOrder(1), params, {781, 564});
 
-  const double bytes = static_cast<double>(rel.ByteSize());
-  const double n_over_b = bytes / params.block_bytes;
+  // Runs of m/R rows, merged (m/B - 1) at a time.
+  const std::size_t run_rows = params.memory_bytes / rel.RowBytes();
+  const std::size_t runs = (rows + run_rows - 1) / run_rows;
+  const std::size_t fan_in = params.memory_bytes / params.block_bytes - 1;
+  int merge_passes = 0;
+  for (std::size_t left = runs; left > 1;
+       left = (left + fan_in - 1) / fan_in) {
+    ++merge_passes;
+  }
+  ASSERT_EQ(runs, 24u);
+  ASSERT_EQ(merge_passes, 2);
+
+  const double n_over_b =
+      static_cast<double>(rel.ByteSize()) / params.block_bytes;
   // Run formation (read+write) + merge passes (read+write each) + final
   // materialization read; allow slack for block rounding per run boundary.
-  const double passes = 1.0 + stats.merge_passes + 0.5;
-  const double budget = 2.0 * n_over_b * passes + 4.0 * static_cast<double>(stats.runs_formed);
-  EXPECT_LE(static_cast<double>(disk.blocks_total()), budget);
+  const double passes = 1.0 + merge_passes + 0.5;
+  const double budget =
+      2.0 * n_over_b * passes + 4.0 * static_cast<double>(runs);
+  EXPECT_LE(781.0 + 564.0, budget);
 }
 
 TEST(ExternalSort, EmptyAndSingleRow) {
-  DiskModel disk({.block_bytes = 64, .memory_bytes = 128});
-  Relation empty(2);
+  const DiskParams params{.block_bytes = 64, .memory_bytes = 128};
   const auto cols = IdentityOrder(2);
-  EXPECT_EQ(ExternalSort(empty, cols, disk).size(), 0u);
+  ExpectSort(Relation(2), cols, params, {0, 0});
 
   Relation one(2);
   one.Append(std::vector<Key>{9, 9}, 1);
-  Relation sorted = ExternalSort(one, cols, disk);
-  ASSERT_EQ(sorted.size(), 1u);
-  EXPECT_EQ(sorted.key(0, 0), 9u);
+  ExpectSort(one, cols, params, {1, 1});
 }
 
 TEST(ExternalSort, SortsByPermutedColumns) {
   Rng rng(6);
-  Relation rel = RandomRelation(3, 1200, rng);
-  DiskModel disk({.block_bytes = 256, .memory_bytes = 2048});
+  const Relation rel = RandomRelation(3, 1200, rng);
   const std::vector<int> order{2, 0, 1};
-  Relation sorted = ExternalSort(rel, order, disk);
-  EXPECT_TRUE(IsSorted(sorted, order));
-  EXPECT_EQ(sorted, SortRelation(rel, order));
+  const DiskParams params{.block_bytes = 256, .memory_bytes = 2048};
+  ExpectSort(rel, order, params, {402, 283});
+  DiskModel disk(params);
+  EXPECT_TRUE(IsSorted(ExternalSort(rel, order, disk), order));
 }
 
 TEST(ExternalSort, StableAcrossSpill) {
-  // Equal keys must keep input order even through run merges.
+  // Equal keys must keep input order even when the sort is charged as a
+  // spill.
   Relation rel(1);
   for (int i = 0; i < 3000; ++i) rel.Append(std::vector<Key>{5}, i);
-  DiskModel disk({.block_bytes = 256, .memory_bytes = 1024});
-  const auto cols = IdentityOrder(1);
-  Relation sorted = ExternalSort(rel, cols, disk);
+  const DiskParams params{.block_bytes = 256, .memory_bytes = 1024};
+  ExpectSort(rel, IdentityOrder(1), params, {904, 709});
+  DiskModel disk(params);
+  const Relation sorted = ExternalSort(rel, IdentityOrder(1), disk);
   ASSERT_EQ(sorted.size(), 3000u);
   for (int i = 0; i < 3000; ++i) EXPECT_EQ(sorted.measure(i), i);
 }
 
-// Parameterized grid: the sorter must be correct and within its transfer
-// budget for any (block, memory) geometry, including degenerate ones.
+// Parameterized grid: the sorter must be correct and charge its transfers
+// for any (block, memory) geometry, including degenerate ones.
 class ExternalSortGrid
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(ExternalSortGrid, CorrectAcrossGeometries) {
   const auto [block, memory] = GetParam();
+  // Keyed by (B, m); the 2 500 rows (50 000 bytes) fit from m = 65 536.
+  const std::map<std::pair<int, int>, Blocks> want = {
+      {{64, 256}, {5838, 4805}},     {{64, 4096}, {2453, 1567}},
+      {{64, 65536}, {782, 782}},     {{64, 1 << 22}, {782, 782}},
+      {{512, 256}, {1244, 1021}},    {{512, 4096}, {411, 295}},
+      {{512, 65536}, {98, 98}},      {{512, 1 << 22}, {98, 98}},
+      {{4096, 256}, {669, 460}},     {{4096, 4096}, {78, 65}},
+      {{4096, 65536}, {13, 13}},     {{4096, 1 << 22}, {13, 13}},
+  };
   Rng rng(1000 + static_cast<std::uint64_t>(block + memory));
-  Relation rel = RandomRelation(3, 2500, rng, 30);
-  DiskModel disk({.block_bytes = static_cast<std::size_t>(block),
-                  .memory_bytes = static_cast<std::size_t>(memory)});
-  const auto cols = IdentityOrder(3);
-  ExternalSortStats stats;
-  Relation sorted = ExternalSort(rel, cols, disk, nullptr, &stats);
-  EXPECT_EQ(sorted, SortRelation(rel, cols))
-      << "B=" << block << " m=" << memory;
-  if (rel.ByteSize() > static_cast<std::size_t>(memory)) {
-    EXPECT_FALSE(stats.in_memory);
-    EXPECT_GT(stats.runs_formed, 1u);
-  }
+  SCOPED_TRACE("B=" + std::to_string(block) + " m=" + std::to_string(memory));
+  ExpectSort(RandomRelation(3, 2500, rng, 30), IdentityOrder(3),
+             {.block_bytes = static_cast<std::size_t>(block),
+              .memory_bytes = static_cast<std::size_t>(memory)},
+             want.at({block, memory}));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -332,32 +284,6 @@ TEST(CheckedFile, AppendSealedLineSurvivesTornTail) {
   EXPECT_EQ(verified,
             (std::vector<std::string>{"part 0 1 2", "part 1 3"}));
   std::filesystem::remove_all(dir);
-}
-
-TEST(RunSealing, CorruptedSpillRunsThrowTypedErrorsAtDrain) {
-  Rng rng(9);
-  Relation rel = RandomRelation(2, 2000, rng);
-  const auto cols = IdentityOrder(2);
-  // Fault-free baseline with the same geometry: several runs, real merge.
-  const DiskParams geometry{.block_bytes = 256, .memory_bytes = 2048};
-  {
-    DiskModel disk(geometry);
-    EXPECT_EQ(ExternalSort(rel, cols, disk, nullptr), SortRelation(rel, cols));
-  }
-  // A single flipped bit or torn block in any early run write must surface
-  // as SncubeCorruptionError when the merge drains that run — never as a
-  // silently mis-sorted relation.
-  for (const auto kind :
-       {WriteFault::Kind::kBitFlip, WriteFault::Kind::kTornWrite}) {
-    for (int nth : {0, 3, 7}) {
-      DiskModel disk(geometry);
-      OneShotCorruptor hook(kind, nth);
-      disk.set_fault_hook(&hook);
-      EXPECT_THROW(ExternalSort(rel, cols, disk, nullptr),
-                   SncubeCorruptionError)
-          << "kind " << static_cast<int>(kind) << " nth " << nth;
-    }
-  }
 }
 
 }  // namespace

@@ -45,7 +45,11 @@
    that `info` and `query` refuse; `build --resume` at `--procs 3` and at
    `--procs 2` each finish it byte-identical to the `--procs 1` build,
    every file and the MANIFEST included, and so does a resume after a real
-   SIGKILL once the first view file has appeared. `--resume` at one
+   SIGKILL once the first view file has appeared. A `--procs 2` build
+   killed after two of its three partitions and resumed with another input
+   of the same cardinalities is refused (exit 1) and keeps every byte of
+   its directory; a fresh build over it leaves a fresh directory's files.
+   `--resume` at one
    processor and the removed `--checkpoint-dir` are usage errors, and so
    is any flag that would start more than 256 threads.
 """
@@ -224,6 +228,44 @@ def check_interrupted_build_resumes(binary, tmp):
                                      f"{out.stdout[:80]!r}")
         for procs in (3, 2):
             resume(killed, procs, f"kill:1@{step}")
+
+    # A --procs 2 build of one input killed after two of its three
+    # partitions, resumed with another input of the same cardinalities: the
+    # resume is refused (exit 1, nothing on stdout) and every byte stays.
+    first, second = tmp / "resume_a.csv", tmp / "resume_b.csv"
+    for path, seed in ((first, 21), (second, 22)):
+        out = run(binary, "generate", "--rows", 3000, "--cards", "8,4,3",
+                  "--seed", seed, "--out", path)
+        if out.returncode != 0:
+            raise AssertionError(f"generate failed: {out.stderr}")
+    out = run(binary, "build", "--in", first, "--out", tmp / "resume_a_p2",
+              "--procs", 2, "--summary-out", summary)
+    if out.returncode != 0:
+        raise AssertionError(f"traced build failed: {out.stderr}")
+    steps = len(json.loads(summary.read_text())["supersteps"])
+    mixed = tmp / "resume_mixed"
+    out = run(binary, "build", "--in", first, "--out", mixed, "--procs", 2,
+              "--fault-plan", f"kill:1@{steps - 1}")
+    if out.returncode != 3 or not any(f.suffix == ".sncv"
+                                      for f in mixed.iterdir()):
+        raise AssertionError(f"kill:1@{steps - 1}: exit {out.returncode}, "
+                             f"files {sorted(dir_bytes(mixed))}")
+    before = dir_bytes(mixed)
+    out = run(binary, "build", "--in", second, "--out", mixed, "--procs", 2,
+              "--resume")
+    changed = dir_bytes(mixed) != before
+    if out.returncode != 1 or out.stdout or changed:
+        raise AssertionError(f"resume with another input: exit "
+                             f"{out.returncode}, stdout {out.stdout[:80]!r}, "
+                             f"directory changed: {changed}")
+    # A fresh build over it leaves exactly a fresh directory's files.
+    for cube in (mixed, tmp / "resume_b_p1"):
+        out = run(binary, "build", "--in", second, "--out", cube)
+        if out.returncode != 0:
+            raise AssertionError(f"build failed: {out.stderr}")
+    if dir_bytes(mixed) != dir_bytes(tmp / "resume_b_p1"):
+        raise AssertionError(f"a build over an interrupted one left "
+                             f"{sorted(dir_bytes(mixed))}")
 
     # A real SIGKILL, on a build big enough to outlast the first file.
     big = tmp / "resume_big.csv"

@@ -56,10 +56,10 @@ Enforces invariants no off-the-shelf checker knows about, as compile-time
   raw-file-write   src/core, src/io, src/net, src/refresh, src/seqcube and
                    the command-line sources directly in tools/ (tools/*.cc,
                    not the lint fixtures below it) must not open files for
-                   writing directly (std::ofstream / fopen).
+                   writing directly (std::ofstream / fopen / tmpfile).
                    Durable bytes in those layers go through the checksummed
                    io layer
-                   (io/checked_file.h, io/run_store.h) so every artifact
+                   (io/checked_file.h) so every artifact
                    carries a CRC32C seal and every write passes the
                    DiskModel's fault-injection sites; a raw write silently
                    bypasses both. Reads (std::ifstream) are fine — they
@@ -176,11 +176,11 @@ RULES = [
         # The checksummed io layer is where the raw writes are supposed to
         # live — everything else goes through it.
         "exempt": ("src/io/checked_file.cc",),
-        "pattern": re.compile(r"\bofstream\b|\bfopen\s*\("),
+        "pattern": re.compile(r"\bofstream\b|\bfopen\s*\(|\btmpfile\s*\("),
         "message": "raw file write outside the checksummed io layer; use "
-                   "io/checked_file.h (sealed files / manifest lines) or "
-                   "io/run_store.h so the artifact is CRC-sealed and the "
-                   "write passes the fault-injection sites",
+                   "io/checked_file.h (sealed files / manifest lines) so "
+                   "the artifact is CRC-sealed and the write passes the "
+                   "fault-injection sites",
     },
 ]
 

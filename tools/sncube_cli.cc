@@ -113,7 +113,7 @@ constexpr const char* kHelpText =
     "  --resume             finish a build that failed or was killed: keep\n"
     "                       the Di-partitions whose view files in --out\n"
     "                       verify and compute the rest (same input and\n"
-    "                       flags, any --procs >= 2)\n"
+    "                       views, checked; any --procs >= 2)\n"
     "  --fault-plan SPEC    inject faults, e.g.\n"
     "                       \"kill:1@5;slow:2x3.0;diskerr:0:0.01;seed:7\"\n"
     "                       (needs --procs >= 2)\n"
@@ -545,7 +545,7 @@ int CmdBuild(const Args& args) {
     if (!fault_plan.empty()) cluster.set_fault_plan(fault_plan);
     obs::TraceSink trace_sink;
     if (traced) cluster.set_trace_sink(&trace_sink);
-    PartitionWriter writer(ViewStore(out), schema, selected, p, resume);
+    PartitionWriter writer(ViewStore(out), schema, raw, selected, p, resume);
     writer.Attach(opts);
     try {
       cluster.Run([&](Comm& comm) {
